@@ -16,36 +16,22 @@ from .closed_forms import (
     identity_lhs,
     identity_rhs,
     layer_length_closed,
-    ratio_json,
     telescoping_holds,
 )
-from .cohomology import (
-    LengthValue,
-    dual_index,
-    local_cohomology_length,
-    nonvanishing_indices,
-)
+from .cohomology import LengthValue, local_cohomology_length
 from .filtration import (
     FiltrationIndex,
     LayerSummand,
     ThickeningInstance,
     contributing_weights,
     cumulative_length_via_decomposition,
-    degree_parameters,
     filtration_indices,
     layer_length_via_decomposition,
     layer_summands,
     paired_weight,
 )
-from .partitions import (
-    DominantWeight,
-    Partition,
-    conjugate,
-    contained_in,
-    minor_sizes,
-    partitions_of,
-)
-from .schur import schur_dim, shift_normalize, ssyt_count, tensor_pair_dim, weyl_dim
+from .partitions import DominantWeight, Partition, partitions_of
+from .schur import schur_dim, ssyt_count, tensor_pair_dim, weyl_dim
 
 __version__ = "0.1.0"
 
@@ -59,13 +45,9 @@ __all__ = [
     "asymptotic_multiplicity",
     "binom",
     "catalan",
-    "conjugate",
-    "contained_in",
     "contributing_weights",
     "cumulative_length",
     "cumulative_length_via_decomposition",
-    "degree_parameters",
-    "dual_index",
     "filtration_indices",
     "identity_holds",
     "identity_lhs",
@@ -74,13 +56,9 @@ __all__ = [
     "layer_length_via_decomposition",
     "layer_summands",
     "local_cohomology_length",
-    "minor_sizes",
-    "nonvanishing_indices",
     "paired_weight",
     "partitions_of",
-    "ratio_json",
     "schur_dim",
-    "shift_normalize",
     "ssyt_count",
     "telescoping_holds",
     "tensor_pair_dim",

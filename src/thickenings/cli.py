@@ -109,7 +109,10 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
     else:
         text = json.dumps(rows, indent=2) + "\n"
     if out is not None:
-        _write_atomic(out, text)
+        try:
+            _write_atomic(out, text)
+        except OSError as exc:
+            raise click.FileError(out, exc.strerror)
     else:
         click.echo(text, nl=False)
 
@@ -156,11 +159,14 @@ def decompose(m: int, t: int, as_json: bool):
     type=click.Choice(list(verify_suites.SUITE_NAMES) + ["all"]),
     required=True,
 )
-@click.option("--max-m", type=int, default=None, help="Upper m bound where a suite sweeps m.")
-@click.option("--max-t", type=int, default=None, help="Upper t bound where a suite sweeps t.")
-@click.option("--max-b", type=int, default=None, help="Upper b bound for the identity grid.")
+@click.option("--max-m", type=click.IntRange(min=3), help="Upper m bound, read by the decomposition and catalan suites.")
+@click.option("--max-t", type=click.IntRange(min=1), help="Upper t bound, read by the zset and decomposition suites.")
+@click.option("--max-b", type=click.IntRange(min=0), help="Upper b bound, read by the identities suite.")
 def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None):
-    """Run brute-force verification suites; exit 0 only if every case passes."""
+    """Run brute-force verification suites; exit 0 only if every case passes.
+
+    The schur suite reads no bound. A suite that checks no case fails.
+    """
     results = verify_suites.run(suite, max_m=max_m, max_t=max_t, max_b=max_b)
     failed = False
     for result in results:

@@ -92,7 +92,3 @@ def telescoping_holds(m: int, t_max: int) -> bool:
     total = sum(layer_length_closed(m, t) for t in range(1, t_max + 1))
     return total == cumulative_length(m, t_max)
 
-
-def ratio_json(q: Fraction) -> dict:
-    """Serialize an exact ratio as decimal strings: {"num": ..., "den": ...}."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}

@@ -40,21 +40,21 @@ class ThickeningInstance:
 
     m: int
     t: int
-    n: int = 2
-    minor_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.n != 2 or self.minor_size != 2:
-            raise ValueError("only 2-row matrices with 2 x 2 minors are supported")
-        if self.m <= self.n:
+        for name in ("m", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.m <= 2:
             raise ValueError(f"m must exceed n = 2, got m = {self.m}")
         if self.t < 1:
             raise ValueError(f"t must be positive, got t = {self.t}")
 
     @property
     def ambient_dim(self) -> int:
-        """Dimension of the polynomial ring, m * n."""
-        return self.m * self.n
+        """Dimension of the polynomial ring, 2 * m."""
+        return 2 * self.m
 
     @property
     def thickening_dim(self) -> int:
@@ -124,29 +124,6 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     return found
 
 
-def degree_parameters(m: int, j: int) -> tuple[int, int]:
-    """The unique (t1, s) putting a filtration factor's Ext in cohomological degree j.
-
-    With n = 2 every filtration index has l = 1, so the degree bookkeeping
-    reads 2m - 1 - s(m - 2) - 2*t1 = j over 0 <= s <= t1 <= 1. Only the top
-    degree j = 2m - 3 is supported, where the answer is (1, 0); solving by
-    enumeration keeps the uniqueness claim honest.
-    """
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
-    if j != 2 * m - 3:
-        raise ValueError(f"unsupported cohomological index {j}, expected {2 * m - 3}")
-    solutions = [
-        (t1, s)
-        for t1 in range(2)
-        for s in range(t1 + 1)
-        if 2 * m - 1 - s * (m - 2) - 2 * t1 == j
-    ]
-    if len(solutions) != 1:
-        raise ValueError(f"expected a unique (t1, s) for m={m}, j={j}, found {solutions}")
-    return solutions[0]
-
-
 def contributing_weights(z: int, m: int) -> list[DominantWeight]:
     """Length-2 dominant weights contributing at index 2m - 3 for the factor ((z, z), 1).
 
@@ -186,9 +163,9 @@ def layer_summands(m: int, t: int) -> list[LayerSummand]:
     ((t-1, t-1), 1), so the layer is the z = t - 1 contribution; for t = 1
     there are no weights and the list is empty.
     """
-    inst = ThickeningInstance(m=m, t=t)
+    ThickeningInstance(m=m, t=t)
     out = []
-    for w in contributing_weights(t - 1, inst.m):
+    for w in contributing_weights(t - 1, m):
         glm = paired_weight(w, m)
         out.append(
             LayerSummand(
@@ -214,9 +191,9 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     re-checks that every index has the ((z, z), 1) shape the weight
     machinery is specialized to.
     """
-    inst = ThickeningInstance(m=m, t=t)
+    ThickeningInstance(m=m, t=t)
     total = 0
-    for idx in filtration_indices(inst.n, inst.minor_size, inst.t):
+    for idx in filtration_indices(2, 2, t):
         if idx.l != 1 or idx.z[0] != idx.z[1]:
             raise AssertionError(f"unexpected filtration index {idx!r} for n = 2")
         for w in contributing_weights(idx.z[0], m):

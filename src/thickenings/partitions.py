@@ -8,7 +8,7 @@ Schur functor on a space of that dimension) and its entries may be negative.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from typing import Iterable, Iterator, Sequence
 
 
@@ -17,14 +17,12 @@ class Partition:
 
     Indexing reads 0 past the last part, so ``p[i]`` behaves like the
     zero-padded sequence; ``len(p)`` is the number of nonzero parts.
-    The ``<=`` order is diagram containment (a partial order, like subset
-    order on sets).
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        data = tuple(int(p) for p in parts)
+        data = tuple(map(operator.index, parts))
         for a, b in zip(data, data[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {data}")
@@ -38,11 +36,6 @@ class Partition:
     def parts(self) -> tuple[int, ...]:
         """Canonical parts, without trailing zeros."""
         return self._parts
-
-    @property
-    def size(self) -> int:
-        """Number of boxes in the diagram."""
-        return sum(self._parts)
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -71,65 +64,15 @@ class Partition:
     def __bool__(self) -> bool:
         return bool(self._parts)
 
-    def __le__(self, other: "Partition") -> bool:
-        return contained_in(self, other)
-
-    def __ge__(self, other: "Partition") -> bool:
-        return contained_in(other, self)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self != other and contained_in(self, other)
-
-    def __gt__(self, other: "Partition") -> bool:
-        return self != other and contained_in(other, self)
-
     def pad(self, length: int) -> tuple[int, ...]:
         """Parts padded with zeros to the given length."""
         if length < len(self._parts):
             raise ValueError(f"cannot pad {self!r} to length {length}")
         return self._parts + (0,) * (length - len(self._parts))
 
-    def conjugate(self) -> "Partition":
-        """Transpose of the diagram: column i has height #{j : p_j >= i}."""
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
-
     def to_json(self) -> list[int]:
         """Canonical JSON form: a plain array of the nonzero parts."""
         return list(self._parts)
-
-
-def conjugate(x: Partition | Sequence[int]) -> Partition:
-    """Conjugate (transposed) partition, e.g. (5,3,2) -> (3,3,2,1,1)."""
-    return _as_partition(x).conjugate()
-
-
-def contained_in(x: Partition | Sequence[int], y: Partition | Sequence[int]) -> bool:
-    """True when the diagram of x fits inside the diagram of y.
-
-    Componentwise x_i <= y_i after zero padding, so trailing zeros never
-    matter.
-    """
-    xp, yp = _as_partition(x), _as_partition(y)
-    return all(xp[i] <= yp[i] for i in range(max(len(xp), len(yp))))
-
-
-def minor_sizes(x: Partition | Sequence[int]) -> Counter:
-    """Sizes of the minors whose product generates the invariant ideal of x.
-
-    Column i of the diagram contributes one minor of size equal to its
-    height, so the result is the multiset of conjugate parts: for (t, t)
-    this is t copies of 2, the t-th power of the ideal of 2 x 2 minors.
-    """
-    xp = _as_partition(x)
-    if not xp:
-        raise ValueError("empty partition has no minor support")
-    return Counter(xp.conjugate().parts)
 
 
 def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
@@ -166,7 +109,7 @@ class DominantWeight:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[int]):
-        data = tuple(int(e) for e in entries)
+        data = tuple(map(operator.index, entries))
         if not data:
             raise ValueError("a dominant weight needs at least one entry")
         for a, b in zip(data, data[1:]):
@@ -197,10 +140,6 @@ class DominantWeight:
 
     def __repr__(self) -> str:
         return f"DominantWeight({list(self._entries)})"
-
-    def shifted(self, c: int) -> "DominantWeight":
-        """The weight with c added to every entry; same length."""
-        return DominantWeight(e + c for e in self._entries)
 
     def to_json(self) -> list[int]:
         return list(self._entries)

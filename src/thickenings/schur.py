@@ -54,19 +54,6 @@ def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
     return weyl_dim(p.pad(n), n)
 
 
-def shift_normalize(weight: DominantWeight | Sequence[int]) -> tuple[Partition, int]:
-    """Write a dominant weight as partition + constant shift.
-
-    Returns (p, c) with p_i = weight_i - c >= 0 and c the last entry, so the
-    last part of p is 0 and p is canonical. Tensoring with powers of the
-    top exterior power shows the Schur dimension is invariant under the
-    shift, which is what makes the normalization useful.
-    """
-    w = _as_weight(weight)
-    c = w[len(w) - 1]
-    return Partition(e - c for e in w), c
-
-
 def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     """Count semistandard tableaux of the given shape with entries in 1..n.
 

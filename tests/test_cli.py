@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from thickenings import verify
@@ -105,6 +106,17 @@ class TestTable:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "table.csv"]
         assert leftovers == []
 
+    def test_out_into_missing_directory_is_click_error(self, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        result = invoke(
+            "table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2",
+            "--out", str(target),
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecompose:
     def test_m3_t3(self):
@@ -153,6 +165,20 @@ class TestVerify:
         assert result.exit_code == 0
         for name in verify.SUITE_NAMES:
             assert f"{name}: PASS" in result.output
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("zset", "--max-t", "0"),
+            ("identities", "--max-b", "-3"),
+            ("decomposition", "--max-m", "2"),
+            ("decomposition", "--max-t", "0"),
+        ],
+    )
+    def test_bound_out_of_range_is_usage_error(self, suite, flag, value):
+        result = invoke("verify", "--suite", suite, flag, value)
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
 
     def test_unknown_suite_is_usage_error(self):
         result = invoke("verify", "--suite", "nonsense")

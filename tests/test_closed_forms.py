@@ -14,7 +14,6 @@ from thickenings.closed_forms import (
     identity_lhs,
     identity_rhs,
     layer_length_closed,
-    ratio_json,
     telescoping_holds,
 )
 
@@ -83,10 +82,6 @@ class TestCatalan:
     def test_sequence_start(self):
         assert [catalan(m) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
 
-    def test_matches_multiplicity(self):
-        for m in range(3, 21):
-            assert math.factorial(2 * m) * asymptotic_multiplicity(m) == catalan(m)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             catalan(0)
@@ -128,7 +123,3 @@ class TestTelescoping:
             for t in range(1, 16):
                 assert telescoping_holds(m, t)
 
-
-def test_ratio_json():
-    assert ratio_json(Fraction(1, 144)) == {"num": "1", "den": "144"}
-    assert ratio_json(Fraction(-3, 7)) == {"num": "-3", "den": "7"}

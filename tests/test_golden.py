@@ -1,0 +1,56 @@
+"""CLI output pinned byte for byte against files in ``tests/golden/``.
+
+Each case runs one command through click's test runner and compares its
+stdout with ``tests/golden/<name>.txt`` and its exit code with the table.
+To capture the files again from the code on ``PYTHONPATH``:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from thickenings.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("length-finite", ["length", "--m", "3", "--t", "3"], 0),
+    ("length-zero", ["length", "--m", "4", "--t", "1"], 0),
+    ("length-infinite", ["length", "--m", "5", "--t", "2", "--j", "6"], 0),
+    ("length-finite-json", ["length", "--m", "7", "--t", "40", "--json"], 0),
+    ("length-zero-json", ["length", "--m", "6", "--t", "9", "--j", "5", "--json"], 0),
+    ("length-infinite-json", ["length", "--m", "6", "--t", "9", "--j", "7", "--json"], 0),
+    ("table-csv", ["table", "--m-min", "3", "--m-max", "12", "--t-min", "1", "--t-max", "60"], 0),
+    (
+        "table-json",
+        ["table", "--m-min", "3", "--m-max", "8", "--t-min", "1", "--t-max", "30", "--format", "json"],
+        0,
+    ),
+    ("decompose", ["decompose", "--m", "5", "--t", "6"], 0),
+    ("decompose-json", ["decompose", "--m", "7", "--t", "9", "--json"], 0),
+    ("verify-all", ["verify", "--suite", "all"], 0),
+    ("verify-all-bounded", ["verify", "--suite", "all", "--max-m", "5", "--max-t", "6", "--max-b", "10"], 0),
+]
+
+
+def _run(args):
+    result = CliRunner().invoke(main, args)
+    return result.stdout_bytes, result.exit_code
+
+
+@pytest.mark.parametrize("name, args, exit_code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(name, args, exit_code):
+    stdout, code = _run(args)
+    assert code == exit_code
+    assert stdout == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, args, exit_code in CASES:
+        stdout, code = _run(args)
+        assert code == exit_code, (name, code)
+        (GOLDEN / f"{name}.txt").write_bytes(stdout)

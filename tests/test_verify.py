@@ -43,6 +43,13 @@ def test_run_unknown_suite():
         verify.run("nope")
 
 
+def test_zero_case_suite_fails():
+    res = verify.run("zset", max_t=0)[0]
+    assert res.cases == 0
+    assert not res.passed
+    assert "FAIL" in res.summary()
+
+
 def test_failures_are_reported(monkeypatch):
     monkeypatch.setattr(verify, "catalan", lambda m: -1)
     res = verify.verify_catalan(max_m=5)
