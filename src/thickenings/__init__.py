@@ -18,13 +18,19 @@ from .closed_forms import (
     layer_length_closed,
     telescoping_holds,
 )
-from .cohomology import LengthValue, local_cohomology_length
+from .cohomology import (
+    LengthValue,
+    dual_index,
+    local_cohomology_length,
+    nonvanishing_indices,
+)
 from .filtration import (
     FiltrationIndex,
     LayerSummand,
     ThickeningInstance,
     contributing_weights,
     cumulative_length_via_decomposition,
+    degree_parameters,
     filtration_indices,
     layer_length_via_decomposition,
     layer_summands,
@@ -48,6 +54,8 @@ __all__ = [
     "contributing_weights",
     "cumulative_length",
     "cumulative_length_via_decomposition",
+    "degree_parameters",
+    "dual_index",
     "filtration_indices",
     "identity_holds",
     "identity_lhs",
@@ -56,6 +64,7 @@ __all__ = [
     "layer_length_via_decomposition",
     "layer_summands",
     "local_cohomology_length",
+    "nonvanishing_indices",
     "paired_weight",
     "partitions_of",
     "schur_dim",

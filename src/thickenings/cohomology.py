@@ -62,6 +62,29 @@ class LengthValue:
         return {"kind": self.kind}
 
 
+def nonvanishing_indices(n: int, m: int) -> set[int]:
+    """Cohomological indices where H^j_I(R) is nonzero, for maximal minors.
+
+    These are (n - r)(m - n) + 1 for 0 <= r < n; at n = 2 that is
+    {m - 1, 2m - 3}. Requires 2 <= n < m, since equal sizes collapse the
+    indices and the maximal-minor picture degenerates. Through
+    :func:`dual_index` they give the live indices {3, m + 1} of
+    :func:`local_cohomology_length`, which the tests check it against.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if n >= m:
+        raise ValueError(f"need n < m, got n={n}, m={m}")
+    return {(n - r) * (m - n) + 1 for r in range(n)}
+
+
+def dual_index(m: int, n: int, j: int) -> int:
+    """Graded-duality partner index m*n - j; involutive on 0 <= j <= m*n."""
+    if not 0 <= j <= m * n:
+        raise ValueError(f"index {j} out of range 0..{m * n}")
+    return m * n - j
+
+
 def local_cohomology_length(m: int, t: int, j: int) -> LengthValue:
     """Length of H^j_m(R/I^t) for the 2 x m matrix and its 2 x 2 minors.
 

@@ -124,6 +124,29 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     return found
 
 
+def degree_parameters(m: int, j: int) -> tuple[int, int]:
+    """The unique (t1, s) putting a filtration factor's Ext in cohomological degree j.
+
+    With n = 2 every filtration index has l = 1, so the degree bookkeeping
+    reads 2m - 1 - s(m - 2) - 2*t1 = j over 0 <= s <= t1 <= 1. Only the top
+    degree j = 2m - 3 is supported, where the answer is (1, 0); solving by
+    enumeration keeps the uniqueness claim honest.
+    """
+    if m < 3:
+        raise ValueError(f"m must be at least 3, got {m}")
+    if j != 2 * m - 3:
+        raise ValueError(f"unsupported cohomological index {j}, expected {2 * m - 3}")
+    solutions = [
+        (t1, s)
+        for t1 in range(2)
+        for s in range(t1 + 1)
+        if 2 * m - 1 - s * (m - 2) - 2 * t1 == j
+    ]
+    if len(solutions) != 1:
+        raise ValueError(f"expected a unique (t1, s) for m={m}, j={j}, found {solutions}")
+    return solutions[0]
+
+
 def contributing_weights(z: int, m: int) -> list[DominantWeight]:
     """Length-2 dominant weights contributing at index 2m - 3 for the factor ((z, z), 1).
 

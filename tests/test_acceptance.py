@@ -15,7 +15,7 @@ from thickenings.closed_forms import (
     cumulative_length,
     telescoping_holds,
 )
-from thickenings.cohomology import local_cohomology_length
+from thickenings.cohomology import dual_index, local_cohomology_length, nonvanishing_indices
 
 
 def _criterion(name, thunk):
@@ -78,6 +78,9 @@ def test_criterion_6_telescoping():
 def test_criterion_7_vanishing_structure():
     def run():
         for m in range(3, 9):
+            # graded duality: the live indices partner the nonzero H_I indices
+            if {dual_index(m, 2, i) for i in nonvanishing_indices(2, m)} != {3, m + 1}:
+                return False
             for t in range(1, 11):
                 for j in range(0, 2 * m + 1):
                     v = local_cohomology_length(m, t, j)

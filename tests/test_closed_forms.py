@@ -82,6 +82,10 @@ class TestCatalan:
     def test_sequence_start(self):
         assert [catalan(m) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
 
+    def test_matches_multiplicity(self):
+        for m in range(3, 21):
+            assert math.factorial(2 * m) * asymptotic_multiplicity(m) == catalan(m)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             catalan(0)

@@ -1,7 +1,12 @@
 import pytest
 
 from thickenings.closed_forms import cumulative_length
-from thickenings.cohomology import LengthValue, local_cohomology_length
+from thickenings.cohomology import (
+    LengthValue,
+    dual_index,
+    local_cohomology_length,
+    nonvanishing_indices,
+)
 
 
 class TestLengthValue:
@@ -24,6 +29,51 @@ class TestLengthValue:
         assert LengthValue.zero().to_json() == {"kind": "zero"}
         assert LengthValue.infinite().to_json() == {"kind": "infinite"}
         assert LengthValue.finite(10).to_json() == {"kind": "finite", "value": "10"}
+
+
+class TestNonvanishingIndices:
+    def test_n2(self):
+        assert nonvanishing_indices(2, 5) == {4, 7}
+        assert nonvanishing_indices(2, 3) == {2, 3}
+
+    def test_n3(self):
+        assert nonvanishing_indices(3, 7) == {5, 9, 13}
+
+    def test_square_rejected(self):
+        with pytest.raises(ValueError):
+            nonvanishing_indices(3, 3)
+        with pytest.raises(ValueError):
+            nonvanishing_indices(4, 3)
+
+    def test_n1_rejected(self):
+        with pytest.raises(ValueError):
+            nonvanishing_indices(1, 5)
+
+
+class TestDualIndex:
+    def test_examples(self):
+        assert dual_index(5, 2, 3) == 7
+        assert dual_index(4, 2, 5) == 3
+        assert dual_index(6, 2, 0) == 12
+
+    def test_involution(self):
+        for m in range(3, 9):
+            for j in range(0, 2 * m + 1):
+                assert dual_index(m, 2, dual_index(m, 2, j)) == j
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            dual_index(3, 2, 7)
+        with pytest.raises(ValueError):
+            dual_index(3, 2, -1)
+
+    def test_duality_pairs_live_indices(self):
+        # the two nonzero H_m indices map onto the two nonzero H_I indices
+        for m in range(3, 11):
+            assert nonvanishing_indices(2, m) == {
+                dual_index(m, 2, 3),
+                dual_index(m, 2, m + 1),
+            }
 
 
 class TestLocalCohomologyLength:

@@ -1,15 +1,17 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thickenings.closed_forms import cumulative_length, layer_length_closed
+from thickenings.closed_forms import binom, cumulative_length, layer_length_closed
 from thickenings.filtration import (
     FiltrationIndex,
     ThickeningInstance,
     contributing_weights,
     cumulative_length_via_decomposition,
+    degree_parameters,
     filtration_indices,
     layer_length_via_decomposition,
     layer_summands,
@@ -35,6 +37,10 @@ class TestFiltrationIndices:
         assert len(found) == 5
         assert all(idx.l == 1 for idx in found)
 
+    def test_characterization_up_to_20(self):
+        for t in range(1, 21):
+            assert filtration_indices(2, 2, t) == {zz(z) for z in range(t)}
+
     def test_entries_satisfy_bounds(self):
         # general parameters: the invariants of the index pairs hold as stated
         for (n, d, t) in [(3, 2, 3), (3, 3, 2), (4, 2, 4)]:
@@ -54,6 +60,20 @@ class TestFiltrationIndices:
             filtration_indices(2, 3, 3)
         with pytest.raises(ValueError):
             filtration_indices(2, 2, 0)
+
+
+class TestDegreeParameters:
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    def test_unique_solution(self, m):
+        assert degree_parameters(m, 2 * m - 3) == (1, 0)
+
+    def test_other_index_rejected(self):
+        with pytest.raises(ValueError, match="unsupported cohomological index"):
+            degree_parameters(5, 6)
+
+    def test_small_m_rejected(self):
+        with pytest.raises(ValueError):
+            degree_parameters(2, 1)
 
 
 class TestContributingWeights:
@@ -144,6 +164,19 @@ class TestLayerLength:
         for m in range(3, 7):
             for t in range(1, 9):
                 assert layer_length_via_decomposition(m, t) == layer_length_closed(m, t)
+
+    def test_per_term_product_formula(self):
+        for m in range(3, 7):
+            for t in range(1, 9):
+                for s in layer_summands(m, t):
+                    e = s.epsilon
+                    term = Fraction(
+                        (e + 1) ** 2
+                        * binom(m + t - 3, m - 2)
+                        * binom(m + t - 4 - e, t - e - 2),
+                        m - 1,
+                    )
+                    assert term == s.dim
 
 
 class TestCumulativeDecomposition:

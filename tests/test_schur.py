@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thickenings.partitions import DominantWeight, Partition
+from thickenings.closed_forms import binom
+from thickenings.partitions import DominantWeight, Partition, partitions_of
 from thickenings.schur import schur_dim, ssyt_count, tensor_pair_dim, weyl_dim
 
 
@@ -31,6 +32,17 @@ class TestWeylDim:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             weyl_dim((1, 0), 3)
+
+    def test_single_row_is_symmetric_power(self):
+        for k in range(9):
+            for n in range(1, 7):
+                assert schur_dim(Partition([k] if k else []), n) == binom(n + k - 1, k)
+
+    def test_single_column_is_exterior_power(self):
+        for k in range(9):
+            for n in range(1, 7):
+                assert schur_dim(Partition([1] * k), n) == binom(n, k)
+        assert schur_dim(Partition([1] * 4), 4) == 1
 
     @given(weight_strategy(), st.integers(min_value=-3, max_value=3))
     def test_shift_invariance(self, w, c):
@@ -62,6 +74,14 @@ class TestSsytCount:
 
     def test_more_rows_than_letters(self):
         assert ssyt_count(Partition([1, 1, 1]), 2) == 0
+
+
+def test_weyl_matches_tableau_oracle():
+    # acceptance runs the full grid; this keeps a fast regression copy
+    for size in range(7):
+        for shape in partitions_of(size, max_rows=4):
+            for n in range(1, 6):
+                assert schur_dim(shape, n) == ssyt_count(shape, n), (shape, n)
 
 
 class TestTensorPairDim:
