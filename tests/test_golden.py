@@ -33,6 +33,15 @@ CASES = [
     ("decompose-json", ["decompose", "--m", "7", "--t", "9", "--json"], 0),
     ("verify-all", ["verify", "--suite", "all"], 0),
     ("verify-all-bounded", ["verify", "--suite", "all", "--max-m", "5", "--max-t", "6", "--max-b", "10"], 0),
+    # Usage errors: exit code 2, and the message goes to stderr only.
+    ("length-narrow-matrix", ["length", "--m", "2", "--t", "1"], 2),
+    ("length-zero-power", ["length", "--m", "3", "--t", "0"], 2),
+    ("length-index-out-of-range", ["length", "--m", "3", "--t", "1", "--j", "7"], 2),
+    ("decompose-narrow-matrix", ["decompose", "--m", "2", "--t", "3"], 2),
+    ("decompose-zero-power", ["decompose", "--m", "3", "--t", "0"], 2),
+    ("table-narrow-matrix", ["table", "--m-min", "2", "--m-max", "4", "--t-min", "1", "--t-max", "3"], 2),
+    ("table-zero-power", ["table", "--m-min", "3", "--m-max", "4", "--t-min", "0", "--t-max", "3"], 2),
+    ("table-empty-range", ["table", "--m-min", "4", "--m-max", "3", "--t-min", "1", "--t-max", "2"], 2),
 ]
 
 
