@@ -27,12 +27,10 @@ from .cohomology import (
 from .filtration import (
     FiltrationIndex,
     LayerSummand,
-    ThickeningInstance,
     contributing_weights,
     cumulative_length_via_decomposition,
     degree_parameters,
     filtration_indices,
-    layer_length_via_decomposition,
     layer_summands,
     paired_weight,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "LayerSummand",
     "LengthValue",
     "Partition",
-    "ThickeningInstance",
     "asymptotic_multiplicity",
     "binom",
     "catalan",
@@ -61,7 +58,6 @@ __all__ = [
     "identity_lhs",
     "identity_rhs",
     "layer_length_closed",
-    "layer_length_via_decomposition",
     "layer_summands",
     "local_cohomology_length",
     "nonvanishing_indices",

@@ -21,14 +21,17 @@ import click
 from . import verify as verify_suites
 from .closed_forms import cumulative_length, layer_length_closed
 from .cohomology import local_cohomology_length
-from .filtration import ThickeningInstance, layer_summands
+from .filtration import layer_summands
 
 
-def _instance(m: int, t: int) -> ThickeningInstance:
-    try:
-        return ThickeningInstance(m=m, t=t)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+class _Command(click.Command):
+    """Reports the library's ``ValueError`` for a bad m, t or j as a usage error (exit 2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx=ctx) from exc
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -57,16 +60,13 @@ def main():
     """
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--m", "m", type=int, required=True, help="Number of matrix columns, at least 3.")
 @click.option("--t", "t", type=int, required=True, help="Power of the ideal, at least 1.")
 @click.option("--j", "j", type=int, default=3, show_default=True, help="Cohomological index.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON form instead of text.")
 def length(m: int, t: int, j: int, as_json: bool):
     """Length of H^j_m(R/I^t): zero, finite, or infinite."""
-    inst = _instance(m, t)
-    if not 0 <= j <= inst.ambient_dim:
-        raise click.BadParameter(f"j must lie in 0..{inst.ambient_dim}")
     value = local_cohomology_length(m, t, j)
     if as_json:
         click.echo(json.dumps(value.to_json()))
@@ -76,7 +76,7 @@ def length(m: int, t: int, j: int, as_json: bool):
         click.echo(value.kind)
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--m-min", type=int, required=True)
 @click.option("--m-max", type=int, required=True)
 @click.option("--t-min", type=int, required=True)
@@ -87,10 +87,6 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
     """Layer and cumulative lengths over an (m, t) grid, m ascending then t."""
     if m_min > m_max or t_min > t_max:
         raise click.BadParameter("empty range")
-    if m_min < 3:
-        raise click.BadParameter("m must be at least 3")
-    if t_min < 1:
-        raise click.BadParameter("t must be at least 1")
     rows = []
     for m in range(m_min, m_max + 1):
         for t in range(t_min, t_max + 1):
@@ -117,7 +113,7 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
         click.echo(text, nl=False)
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--m", "m", type=int, required=True)
 @click.option("--t", "t", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit the summand list as JSON.")
@@ -127,7 +123,6 @@ def decompose(m: int, t: int, as_json: bool):
     Prints one line per summand and a final line comparing the summand
     total with the closed form; exits 1 on a mismatch.
     """
-    _instance(m, t)
     summands = layer_summands(m, t)
     total = sum(s.dim for s in summands)
     closed = layer_length_closed(m, t)

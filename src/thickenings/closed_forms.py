@@ -19,6 +19,17 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def check_integer(name: str, value: object, least: int, most: int | None = None) -> None:
+    """The one check on integer parameters: ``TypeError`` for a bool or a
+    non-int, ``ValueError`` outside least..most (no upper bound if None)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+
+
 def _as_integer(q: Fraction, what: str) -> int:
     if q.denominator != 1:
         raise ArithmeticError(f"{what} is not an integer: {q}")
@@ -31,10 +42,8 @@ def layer_length_closed(m: int, t: int) -> int:
     (1/(m-1)) * C(m+t-3, m-2) * (C(m+t-1, m+1) + C(m+t-2, m+1)); zero at
     t = 1 because both bracket binomials vanish.
     """
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+    check_integer("m", m, 3)
+    check_integer("t", t, 1)
     bracket = binom(m + t - 1, m + 1) + binom(m + t - 2, m + 1)
     value = Fraction(binom(m + t - 3, m - 2) * bracket, m - 1)
     return _as_integer(value, f"layer length at m={m}, t={t}")
@@ -42,18 +51,15 @@ def layer_length_closed(m: int, t: int) -> int:
 
 def cumulative_length(m: int, t: int) -> int:
     """Length of H^3_m(R/I^t): (1/(m+1)) * C(m+t-2, m) * C(m+t-1, m)."""
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+    check_integer("m", m, 3)
+    check_integer("t", t, 1)
     value = Fraction(binom(m + t - 2, m) * binom(m + t - 1, m), m + 1)
     return _as_integer(value, f"cumulative length at m={m}, t={t}")
 
 
 def asymptotic_multiplicity(m: int) -> Fraction:
     """Limit of cumulative_length(m, t) / t^(2m): exactly 1 / ((m+1) * m!^2)."""
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
+    check_integer("m", m, 3)
     return Fraction(1, (m + 1) * math.factorial(m) ** 2)
 
 
@@ -63,22 +69,21 @@ def catalan(m: int) -> int:
     Also equals (2m)! times :func:`asymptotic_multiplicity`, which the
     verification suite checks.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    check_integer("m", m, 1)
     return _as_integer(Fraction(binom(2 * m, m), m + 1), f"Catalan number at m={m}")
 
 
 def identity_lhs(a: int, b: int) -> int:
     """Brute-force sum over e from 1 to b - a of e^2 * C(b - e, a)."""
-    if not 0 <= a <= b:
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    check_integer("a", a, 0)
+    check_integer("b", b, a)
     return sum(e * e * binom(b - e, a) for e in range(1, b - a + 1))
 
 
 def identity_rhs(a: int, b: int) -> int:
     """Closed form C(b+2, a+3) + C(b+1, a+3) of the same sum."""
-    if not 0 <= a <= b:
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    check_integer("a", a, 0)
+    check_integer("b", b, a)
     return binom(b + 2, a + 3) + binom(b + 1, a + 3)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closed_forms import cumulative_length
-from .filtration import ThickeningInstance
+from .closed_forms import check_integer, cumulative_length
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,10 @@ def local_cohomology_length(m: int, t: int, j: int) -> LengthValue:
     the cumulative closed form at j = 3 (zero at t = 1, where R/I is
     Cohen-Macaulay), and zero everywhere else.
     """
-    inst = ThickeningInstance(m=m, t=t)
-    if not 0 <= j <= inst.ambient_dim:
-        raise ValueError(f"index {j} out of range 0..{inst.ambient_dim}")
-    if j == inst.thickening_dim:
+    check_integer("m", m, 3)
+    check_integer("t", t, 1)
+    check_integer("j", j, 0, 2 * m)
+    if j == m + 1:
         return LengthValue.infinite()
     if j == 3:
         return LengthValue.finite(cumulative_length(m, t))

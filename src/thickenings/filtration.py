@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .closed_forms import check_integer
 from .partitions import DominantWeight, Partition, _as_weight
 from .schur import tensor_pair_dim
 
@@ -32,34 +33,6 @@ class FiltrationIndex:
 
     z: Partition
     l: int
-
-
-@dataclass(frozen=True)
-class ThickeningInstance:
-    """Parameters of one thickening R/I^t: a 2 x m matrix, 2 x 2 minors, power t."""
-
-    m: int
-    t: int
-
-    def __post_init__(self) -> None:
-        for name in ("m", "t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.m <= 2:
-            raise ValueError(f"m must exceed n = 2, got m = {self.m}")
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got t = {self.t}")
-
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension of the polynomial ring, 2 * m."""
-        return 2 * self.m
-
-    @property
-    def thickening_dim(self) -> int:
-        """Krull dimension of R/I^t, which is m + 1."""
-        return self.m + 1
 
 
 @dataclass(frozen=True)
@@ -105,12 +78,10 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
 
     The part bound makes the search space finite.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_integer("n", n, 1)
     if not 1 <= minor_size <= n:
         raise ValueError(f"minor size must lie in 1..{n}, got {minor_size}")
-    if t < 1:
-        raise ValueError("t must be positive")
+    check_integer("t", t, 1)
     found: set[FiltrationIndex] = set()
     for z in _bounded_partitions(t - 1, n):
         total = sum(z)
@@ -132,8 +103,7 @@ def degree_parameters(m: int, j: int) -> tuple[int, int]:
     degree j = 2m - 3 is supported, where the answer is (1, 0); solving by
     enumeration keeps the uniqueness claim honest.
     """
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
+    check_integer("m", m, 3)
     if j != 2 * m - 3:
         raise ValueError(f"unsupported cohomological index {j}, expected {2 * m - 3}")
     solutions = [
@@ -154,10 +124,8 @@ def contributing_weights(z: int, m: int) -> list[DominantWeight]:
     in increasing order: exactly z weights, none at all for z = 0, so the
     lowest filtration factor contributes nothing.
     """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
+    check_integer("z", z, 0)
+    check_integer("m", m, 3)
     lam2 = 1 - z - m
     return [DominantWeight((lam1, lam2)) for lam1 in range(lam2, -m + 1)]
 
@@ -172,8 +140,7 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     w = _as_weight(weight)
     if len(w) != 2:
         raise ValueError(f"expected a length-2 weight, got {w!r}")
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
+    check_integer("m", m, 3)
     if w[0] > -m:
         raise ValueError(f"weight {w!r} is out of range: first entry must be <= {-m}")
     return DominantWeight((-2,) * (m - 2) + (w[0] + m - 2, w[1] + m - 2))
@@ -186,7 +153,8 @@ def layer_summands(m: int, t: int) -> list[LayerSummand]:
     ((t-1, t-1), 1), so the layer is the z = t - 1 contribution; for t = 1
     there are no weights and the list is empty.
     """
-    ThickeningInstance(m=m, t=t)
+    check_integer("m", m, 3)
+    check_integer("t", t, 1)
     out = []
     for w in contributing_weights(t - 1, m):
         glm = paired_weight(w, m)
@@ -201,11 +169,6 @@ def layer_summands(m: int, t: int) -> list[LayerSummand]:
     return out
 
 
-def layer_length_via_decomposition(m: int, t: int) -> int:
-    """Length of Ext^{2m-3}(I^{t-1}/I^t, R), summed weight by weight."""
-    return sum(s.dim for s in layer_summands(m, t))
-
-
 def cumulative_length_via_decomposition(m: int, t: int) -> int:
     """Length of Ext^{2m-3}(R/I^t, R) through the whole decomposition chain.
 
@@ -214,7 +177,8 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     re-checks that every index has the ((z, z), 1) shape the weight
     machinery is specialized to.
     """
-    ThickeningInstance(m=m, t=t)
+    check_integer("m", m, 3)
+    check_integer("t", t, 1)
     total = 0
     for idx in filtration_indices(2, 2, t):
         if idx.l != 1 or idx.z[0] != idx.z[1]:

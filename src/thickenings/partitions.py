@@ -70,10 +70,6 @@ class Partition:
             raise ValueError(f"cannot pad {self!r} to length {length}")
         return self._parts + (0,) * (length - len(self._parts))
 
-    def to_json(self) -> list[int]:
-        """Canonical JSON form: a plain array of the nonzero parts."""
-        return list(self._parts)
-
 
 def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
     """Yield every partition of n, optionally with at most max_rows parts."""

@@ -57,6 +57,8 @@ class SuiteResult:
             self.failures.append(detail)
 
     def summary(self) -> str:
+        if not self.cases:
+            return f"{self.name}: FAIL (no case checked)"
         status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failed)"
         return f"{self.name}: {status} ({self.cases} cases)"
 

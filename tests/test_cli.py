@@ -13,33 +13,10 @@ def invoke(*args):
 
 
 class TestLength:
-    def test_finite(self):
-        result = invoke("length", "--m", "3", "--t", "3")
-        assert result.exit_code == 0
-        assert result.output == "finite 10\n"
-
-    def test_infinite_at_top_index(self):
-        result = invoke("length", "--m", "5", "--t", "2", "--j", "6")
-        assert result.exit_code == 0
-        assert result.output == "infinite\n"
-
-    def test_zero(self):
-        result = invoke("length", "--m", "4", "--t", "1")
-        assert result.exit_code == 0
-        assert result.output == "zero\n"
-
     def test_json(self):
         result = invoke("length", "--m", "3", "--t", "3", "--json")
         assert result.exit_code == 0
         assert json.loads(result.output) == {"kind": "finite", "value": "10"}
-
-    def test_narrow_matrix_is_usage_error(self):
-        result = invoke("length", "--m", "2", "--t", "1")
-        assert result.exit_code == 2
-
-    def test_index_out_of_range_is_usage_error(self):
-        result = invoke("length", "--m", "3", "--t", "1", "--j", "7")
-        assert result.exit_code == 2
 
 
 class TestTable:
@@ -90,10 +67,6 @@ class TestTable:
             result.output, object_pairs_hook=lambda kv: [k for k, _ in kv]
         )
         assert pairs == [["m", "t", "layer", "cumulative"]] * 3
-
-    def test_empty_range_is_usage_error(self):
-        result = invoke("table", "--m-min", "4", "--m-max", "3", "--t-min", "1", "--t-max", "2")
-        assert result.exit_code == 2
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -159,12 +132,6 @@ class TestVerify:
         result = invoke("verify", "--suite", "catalan", "--max-m", "20")
         assert result.exit_code == 0
         assert "catalan: PASS (18 cases)" in result.output
-
-    def test_all_suites(self):
-        result = invoke("verify", "--suite", "all", "--max-m", "5", "--max-t", "6", "--max-b", "10")
-        assert result.exit_code == 0
-        for name in verify.SUITE_NAMES:
-            assert f"{name}: PASS" in result.output
 
     @pytest.mark.parametrize(
         "suite, flag, value",

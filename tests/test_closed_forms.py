@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickenings.closed_forms import (
@@ -15,6 +15,15 @@ from thickenings.closed_forms import (
     identity_rhs,
     layer_length_closed,
     telescoping_holds,
+)
+from thickenings.cohomology import local_cohomology_length
+from thickenings.filtration import (
+    contributing_weights,
+    cumulative_length_via_decomposition,
+    degree_parameters,
+    filtration_indices,
+    layer_summands,
+    paired_weight,
 )
 
 
@@ -127,3 +136,39 @@ class TestTelescoping:
             for t in range(1, 16):
                 assert telescoping_holds(m, t)
 
+
+# Each function that checks its integer parameters with ``check_integer``:
+# valid arguments, and the least value of each checked one.
+CHECKED = [
+    (layer_length_closed, dict(m=4, t=2), dict(m=3, t=1)),
+    (cumulative_length, dict(m=4, t=2), dict(m=3, t=1)),
+    (layer_summands, dict(m=4, t=2), dict(m=3, t=1)),
+    (cumulative_length_via_decomposition, dict(m=4, t=2), dict(m=3, t=1)),
+    (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0)),
+    (asymptotic_multiplicity, dict(m=4), dict(m=3)),
+    (catalan, dict(m=4), dict(m=1)),
+    (degree_parameters, dict(m=4, j=5), dict(m=3)),
+    (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3)),
+    (contributing_weights, dict(z=2, m=4), dict(z=0, m=3)),
+    (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, t=1)),
+    (identity_lhs, dict(a=1, b=3), dict(a=0, b=1)),
+    (identity_rhs, dict(a=1, b=3), dict(a=0, b=1)),
+]
+CHECKED_ARGUMENTS = [
+    (fn, args, name, least) for fn, args, lows in CHECKED for name, least in lows.items()
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name, least",
+    CHECKED_ARGUMENTS,
+    ids=[f"{fn.__name__}-{name}" for fn, _, name, _ in CHECKED_ARGUMENTS],
+)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_integer_arguments_are_checked(fn, args, name, least, data):
+    fn(**args)
+    with pytest.raises(TypeError):
+        fn(**{**args, name: data.draw(st.one_of(st.booleans(), st.floats()))})
+    with pytest.raises(ValueError):
+        fn(**{**args, name: data.draw(st.integers(max_value=least - 1))})

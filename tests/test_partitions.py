@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,8 +40,9 @@ class TestPartition:
 
     def test_json_round_trip(self):
         p = Partition([4, 2, 2, 1])
-        assert p.to_json() == [4, 2, 2, 1]
-        assert Partition(p.to_json()) == p
+        data = json.loads(json.dumps(p.parts))
+        assert data == [4, 2, 2, 1]
+        assert Partition(data) == p
 
 
 class TestPartitionsOf:

@@ -47,7 +47,7 @@ def test_zero_case_suite_fails():
     res = verify.run("zset", max_t=0)[0]
     assert res.cases == 0
     assert not res.passed
-    assert "FAIL" in res.summary()
+    assert res.summary() == "zset: FAIL (no case checked)"
 
 
 def test_failures_are_reported(monkeypatch):
