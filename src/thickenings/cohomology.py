@@ -30,8 +30,7 @@ class LengthValue:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "finite":
-            if self.value is None or self.value <= 0:
-                raise ValueError("finite lengths are positive; use zero() for 0")
+            check_integer("value", self.value, 1)
         elif self.value is not None:
             raise ValueError(f"{self.kind} length carries no value")
 
@@ -41,11 +40,10 @@ class LengthValue:
 
     @classmethod
     def finite(cls, value: int) -> "LengthValue":
-        if value < 0:
-            raise ValueError("lengths are nonnegative")
+        check_integer("value", value, 0)
         if value == 0:
             return cls.zero()
-        return cls("finite", int(value))
+        return cls("finite", value)
 
     @classmethod
     def infinite(cls) -> "LengthValue":
@@ -70,17 +68,16 @@ def nonvanishing_indices(n: int, m: int) -> set[int]:
     :func:`dual_index` they give the live indices {3, m + 1} of
     :func:`local_cohomology_length`, which the tests check it against.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if n >= m:
-        raise ValueError(f"need n < m, got n={n}, m={m}")
+    check_integer("n", n, 2)
+    check_integer("m", m, n + 1)
     return {(n - r) * (m - n) + 1 for r in range(n)}
 
 
 def dual_index(m: int, n: int, j: int) -> int:
     """Graded-duality partner index m*n - j; involutive on 0 <= j <= m*n."""
-    if not 0 <= j <= m * n:
-        raise ValueError(f"index {j} out of range 0..{m * n}")
+    check_integer("m", m, 1)
+    check_integer("n", n, 1)
+    check_integer("j", j, 0, m * n)
     return m * n - j
 
 

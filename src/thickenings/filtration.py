@@ -79,8 +79,7 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     The part bound makes the search space finite.
     """
     check_integer("n", n, 1)
-    if not 1 <= minor_size <= n:
-        raise ValueError(f"minor size must lie in 1..{n}, got {minor_size}")
+    check_integer("minor_size", minor_size, 1, n)
     check_integer("t", t, 1)
     found: set[FiltrationIndex] = set()
     for z in _bounded_partitions(t - 1, n):
@@ -104,8 +103,7 @@ def degree_parameters(m: int, j: int) -> tuple[int, int]:
     enumeration keeps the uniqueness claim honest.
     """
     check_integer("m", m, 3)
-    if j != 2 * m - 3:
-        raise ValueError(f"unsupported cohomological index {j}, expected {2 * m - 3}")
+    check_integer("j", j, 2 * m - 3, 2 * m - 3)
     solutions = [
         (t1, s)
         for t1 in range(2)

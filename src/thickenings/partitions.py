@@ -11,6 +11,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, Sequence
 
+from .closed_forms import check_integer
+
 
 class Partition:
     """Weakly decreasing sequence of nonnegative integers (a Young diagram).
@@ -73,8 +75,9 @@ class Partition:
 
 def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
     """Yield every partition of n, optionally with at most max_rows parts."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_integer("n", n, 0)
+    if max_rows is not None:
+        check_integer("max_rows", max_rows, 0)
     if n == 0:
         yield Partition()
         return

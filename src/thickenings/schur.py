@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .closed_forms import check_integer
 from .partitions import DominantWeight, Partition, _as_partition, _as_weight
 
 
@@ -25,8 +26,7 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     would mean the formula was transcribed wrong.
     """
     w = _as_weight(weight)
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_integer("n", n, 1)
     if len(w) != n:
         raise ValueError(f"weight {w!r} has length {len(w)}, expected {n}")
     num = 1
@@ -47,8 +47,7 @@ def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
     otherwise the shape is zero-padded to length n and fed to ``weyl_dim``.
     """
     p = _as_partition(shape)
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_integer("n", n, 1)
     if len(p) > n:
         return 0
     return weyl_dim(p.pad(n), n)
@@ -63,8 +62,7 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     boxes, callers keep shapes small.
     """
     p = _as_partition(shape)
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_integer("n", n, 1)
     if len(p) > n:
         return 0
     if not p:
@@ -96,6 +94,4 @@ def tensor_pair_dim(
     weight_n: DominantWeight | Sequence[int],
 ) -> int:
     """Dimension of S_a(C^m) tensor S_b(C^n), each factor on a space of its own length."""
-    a = _as_weight(weight_m)
-    b = _as_weight(weight_n)
-    return weyl_dim(a, len(a)) * weyl_dim(b, len(b))
+    return weyl_dim(weight_m, len(weight_m)) * weyl_dim(weight_n, len(weight_n))

@@ -16,7 +16,12 @@ from thickenings.closed_forms import (
     layer_length_closed,
     telescoping_holds,
 )
-from thickenings.cohomology import local_cohomology_length
+from thickenings.cohomology import (
+    LengthValue,
+    dual_index,
+    local_cohomology_length,
+    nonvanishing_indices,
+)
 from thickenings.filtration import (
     contributing_weights,
     cumulative_length_via_decomposition,
@@ -25,6 +30,8 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
+from thickenings.partitions import partitions_of
+from thickenings.schur import schur_dim, ssyt_count, weyl_dim
 
 
 class TestBinom:
@@ -137,6 +144,11 @@ class TestTelescoping:
                 assert telescoping_holds(m, t)
 
 
+def partitions_of_list(**kwargs):
+    """``partitions_of`` is a generator: its checks run on the first item."""
+    return list(partitions_of(**kwargs))
+
+
 # Each function that checks its integer parameters with ``check_integer``:
 # valid arguments, and the least value of each checked one.
 CHECKED = [
@@ -147,12 +159,20 @@ CHECKED = [
     (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0)),
     (asymptotic_multiplicity, dict(m=4), dict(m=3)),
     (catalan, dict(m=4), dict(m=1)),
-    (degree_parameters, dict(m=4, j=5), dict(m=3)),
+    (degree_parameters, dict(m=4, j=5), dict(m=3, j=5)),
     (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3)),
     (contributing_weights, dict(z=2, m=4), dict(z=0, m=3)),
-    (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, t=1)),
+    (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, minor_size=1, t=1)),
     (identity_lhs, dict(a=1, b=3), dict(a=0, b=1)),
     (identity_rhs, dict(a=1, b=3), dict(a=0, b=1)),
+    (weyl_dim, dict(weight=(2, 1, 0), n=3), dict(n=1)),
+    (schur_dim, dict(shape=(2, 1), n=3), dict(n=1)),
+    (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1)),
+    (partitions_of_list, dict(n=6, max_rows=2), dict(n=0, max_rows=0)),
+    (nonvanishing_indices, dict(n=2, m=5), dict(n=2, m=3)),
+    (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
+    (LengthValue.finite, dict(value=3), dict(value=0)),
+    (LengthValue, dict(kind="finite", value=3), dict(value=1)),
 ]
 CHECKED_ARGUMENTS = [
     (fn, args, name, least) for fn, args, lows in CHECKED for name, least in lows.items()
@@ -162,7 +182,7 @@ CHECKED_ARGUMENTS = [
 @pytest.mark.parametrize(
     "fn, args, name, least",
     CHECKED_ARGUMENTS,
-    ids=[f"{fn.__name__}-{name}" for fn, _, name, _ in CHECKED_ARGUMENTS],
+    ids=[f"{fn.__qualname__}-{name}" for fn, _, name, _ in CHECKED_ARGUMENTS],
 )
 @settings(max_examples=25)
 @given(data=st.data())

@@ -55,10 +55,6 @@ class TestPartitionsOf:
         short = list(partitions_of(6, max_rows=2))
         assert short == [p for p in all_of_six if len(p) <= 2]
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            list(partitions_of(-1))
-
 
 class TestDominantWeight:
     def test_keeps_length(self):

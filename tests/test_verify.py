@@ -4,9 +4,9 @@ from thickenings import verify
 
 
 def test_schur_suite_passes():
-    res = verify.verify_schur(max_size=6, max_rows=4, max_dim=5)
+    res = verify.verify_schur()
     assert res.passed
-    assert res.cases > 100
+    assert res.cases == 426
 
 
 def test_zset_suite_passes():
