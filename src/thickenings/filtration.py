@@ -20,7 +20,8 @@ check rather than assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .closed_forms import check_integer
 from .partitions import DominantWeight, Partition, _as_weight
@@ -52,19 +53,10 @@ class LayerSummand:
     def to_json(self) -> dict:
         return {
             "epsilon": self.epsilon,
-            "lambda": self.gl2_weight.to_json(),
-            "lambda_s": self.glm_weight.to_json(),
+            "lambda": list(self.gl2_weight),
+            "lambda_s": list(self.glm_weight),
             "dim": str(self.dim),
         }
-
-
-def _bounded_partitions(max_part: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(max_part, -1, -1):
-        for rest in _bounded_partitions(first, length - 1):
-            yield (first,) + rest
 
 
 def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
@@ -82,10 +74,10 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     check_integer("minor_size", minor_size, 1, n)
     check_integer("t", t, 1)
     found: set[FiltrationIndex] = set()
-    for z in _bounded_partitions(t - 1, n):
+    for z in combinations_with_replacement(range(t - 1, -1, -1), n):
         total = sum(z)
         for l in range(minor_size):
-            if any(z[i] != z[0] for i in range(l + 1)):
+            if z[l] != z[0]:
                 continue
             lower = total + (t - z[0]) * l + 1
             upper = total + (t - z[0]) * (l + 1)
@@ -179,8 +171,9 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     check_integer("t", t, 1)
     total = 0
     for idx in filtration_indices(2, 2, t):
-        if idx.l != 1 or idx.z[0] != idx.z[1]:
+        z1, z2 = idx.z.pad(2)
+        if idx.l != 1 or z1 != z2:
             raise AssertionError(f"unexpected filtration index {idx!r} for n = 2")
-        for w in contributing_weights(idx.z[0], m):
+        for w in contributing_weights(z1, m):
             total += tensor_pair_dim(paired_weight(w, m), w)
     return total

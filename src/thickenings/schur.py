@@ -67,14 +67,13 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
         return 0
     if not p:
         return 1
-    row_len = p.parts
-    rows = len(row_len)
-    grid = [[0] * row_len[r] for r in range(rows)]
+    rows = len(p)
+    grid = [[0] * p[r] for r in range(rows)]
 
     def fill(r: int, c: int) -> int:
         if r == rows:
             return 1
-        nr, nc = (r, c + 1) if c + 1 < row_len[r] else (r + 1, 0)
+        nr, nc = (r, c + 1) if c + 1 < p[r] else (r + 1, 0)
         lo = 1
         if c > 0:
             lo = max(lo, grid[r][c - 1])

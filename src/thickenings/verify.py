@@ -15,6 +15,7 @@ from .closed_forms import (
     asymptotic_multiplicity,
     binom,
     catalan,
+    check_integer,
     cumulative_length,
     identity_holds,
     layer_length_closed,
@@ -100,6 +101,7 @@ def verify_schur() -> SuiteResult:
 
 def verify_zset(max_t: int = 20) -> SuiteResult:
     """General filtration-index search against the n = 2 characterization."""
+    check_integer("max_t", max_t, 1)
     res = SuiteResult("zset")
     for t in range(1, max_t + 1):
         expected = {FiltrationIndex(Partition((z, z)), 1) for z in range(t)}
@@ -112,6 +114,8 @@ def verify_zset(max_t: int = 20) -> SuiteResult:
 
 def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
     """Weight-by-weight layer sums against the closed forms."""
+    check_integer("max_m", max_m, 3)
+    check_integer("max_t", max_t, 1)
     res = SuiteResult("decomposition")
     for m in range(3, max_m + 1):
         for t in range(1, max_t + 1):
@@ -139,6 +143,7 @@ def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
 
 def verify_identities(max_b: int = 40) -> SuiteResult:
     """Square-weighted binomial identity on the full 0 <= a <= b grid."""
+    check_integer("max_b", max_b, 0)
     res = SuiteResult("identities")
     for b in range(max_b + 1):
         for a in range(b + 1):
@@ -148,6 +153,7 @@ def verify_identities(max_b: int = 40) -> SuiteResult:
 
 def verify_catalan(max_m: int = 20) -> SuiteResult:
     """(2m)! times the asymptotic multiplicity equals the m-th Catalan number."""
+    check_integer("max_m", max_m, 3)
     res = SuiteResult("catalan")
     for m in range(3, max_m + 1):
         res.check(

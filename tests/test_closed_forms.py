@@ -32,6 +32,12 @@ from thickenings.filtration import (
 )
 from thickenings.partitions import partitions_of
 from thickenings.schur import schur_dim, ssyt_count, weyl_dim
+from thickenings.verify import (
+    verify_catalan,
+    verify_decomposition,
+    verify_identities,
+    verify_zset,
+)
 
 
 class TestBinom:
@@ -173,6 +179,10 @@ CHECKED = [
     (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
     (LengthValue.finite, dict(value=3), dict(value=0)),
     (LengthValue, dict(kind="finite", value=3), dict(value=1)),
+    (verify_zset, dict(max_t=2), dict(max_t=1)),
+    (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1)),
+    (verify_identities, dict(max_b=2), dict(max_b=0)),
+    (verify_catalan, dict(max_m=4), dict(max_m=3)),
 ]
 CHECKED_ARGUMENTS = [
     (fn, args, name, least) for fn, args, lows in CHECKED for name, least in lows.items()

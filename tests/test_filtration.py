@@ -43,11 +43,12 @@ class TestFiltrationIndices:
             for idx in filtration_indices(n, d, t):
                 assert 0 <= idx.l <= d - 1
                 assert len(idx.z) <= n
-                assert all(idx.z[i] == idx.z[0] for i in range(idx.l + 1))
-                assert idx.z[0] <= t - 1
-                total = sum(idx.z.pad(n))
-                assert total + (t - idx.z[0]) * idx.l + 1 <= d * t
-                assert d * t <= total + (t - idx.z[0]) * (idx.l + 1)
+                z = idx.z.pad(n)
+                assert all(z[i] == z[0] for i in range(idx.l + 1))
+                assert z[0] <= t - 1
+                total = sum(z)
+                assert total + (t - z[0]) * idx.l + 1 <= d * t
+                assert d * t <= total + (t - z[0]) * (idx.l + 1)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -97,10 +98,10 @@ class TestPairedWeight:
                 for eps in range(t - 1):
                     lam = (2 - t - m + eps, 2 - t - m)
                     expected = (-2,) * (m - 2) + (-t + eps, -t)
-                    assert paired_weight(lam, m).entries == expected
+                    assert paired_weight(lam, m) == expected
 
     def test_constant_weight(self):
-        assert paired_weight((-3, -3), 3).entries == (-2, -2, -2)
+        assert paired_weight((-3, -3), 3) == (-2, -2, -2)
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError):
