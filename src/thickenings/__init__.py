@@ -19,7 +19,6 @@ from .closed_forms import (
     telescoping_holds,
 )
 from .cohomology import (
-    LengthValue,
     dual_index,
     local_cohomology_length,
     nonvanishing_indices,
@@ -43,7 +42,6 @@ __all__ = [
     "DominantWeight",
     "FiltrationIndex",
     "LayerSummand",
-    "LengthValue",
     "Partition",
     "asymptotic_multiplicity",
     "binom",

@@ -1,4 +1,7 @@
-"""Command line front end.
+"""Command line front end, and the only module that renders output.
+
+The library returns plain values: a length is an ``int``, or ``None`` when
+it is infinite. Every text line and JSON document is built here.
 
     thickenings length --m 3 --t 3            one local cohomology length
     thickenings table --m-min 3 --m-max 5 --t-min 1 --t-max 10
@@ -63,17 +66,19 @@ def main():
 @main.command(cls=_Command)
 @click.option("--m", "m", type=int, required=True, help="Number of matrix columns, at least 3.")
 @click.option("--t", "t", type=int, required=True, help="Power of the ideal, at least 1.")
-@click.option("--j", "j", type=int, default=3, show_default=True, help="Cohomological index.")
+@click.option("--j", "j", type=int, default=3, show_default=True, help="Cohomological index, 0..2m.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON form instead of text.")
 def length(m: int, t: int, j: int, as_json: bool):
     """Length of H^j_m(R/I^t): zero, finite, or infinite."""
     value = local_cohomology_length(m, t, j)
+    kind = "infinite" if value is None else "finite" if value else "zero"
     if as_json:
-        click.echo(json.dumps(value.to_json()))
-    elif value.is_finite:
-        click.echo(f"finite {value.value}")
+        payload = {"kind": kind, "value": str(value)} if kind == "finite" else {"kind": kind}
+        click.echo(json.dumps(payload))
+    elif kind == "finite":
+        click.echo(f"finite {value}")
     else:
-        click.echo(value.kind)
+        click.echo(kind)
 
 
 @main.command(cls=_Command)
@@ -130,7 +135,15 @@ def decompose(m: int, t: int, as_json: bool):
         payload = {
             "m": m,
             "t": t,
-            "summands": [s.to_json() for s in summands],
+            "summands": [
+                {
+                    "epsilon": s.epsilon,
+                    "lambda": list(s.gl2_weight),
+                    "lambda_s": list(s.glm_weight),
+                    "dim": str(s.dim),
+                }
+                for s in summands
+            ],
             "total": str(total),
             "closed_form": str(closed),
             "match": total == closed,
@@ -165,7 +178,11 @@ def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None):
     results = verify_suites.run(suite, max_m=max_m, max_t=max_t, max_b=max_b)
     failed = False
     for result in results:
-        click.echo(result.summary())
+        if not result.cases:
+            click.echo(f"{result.name}: FAIL (no case checked)")
+        else:
+            status = "PASS" if result.passed else f"FAIL ({len(result.failures)} failed)"
+            click.echo(f"{result.name}: {status} ({result.cases} cases)")
         for detail in result.failures[:5]:
             click.echo(f"  {detail}")
         if len(result.failures) > 5:

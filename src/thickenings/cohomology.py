@@ -8,55 +8,7 @@ infinite length) and j = 3 (finite length, the cumulative closed form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closed_forms import check_integer, cumulative_length
-
-
-@dataclass(frozen=True)
-class LengthValue:
-    """Tri-state length: zero, a finite positive integer, or infinite.
-
-    A finite zero is always represented by the zero state, so
-    ``LengthValue.finite(0)`` collapses to ``LengthValue.zero()``.
-    """
-
-    kind: str
-    value: int | None = None
-
-    _KINDS = ("zero", "finite", "infinite")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "finite":
-            check_integer("value", self.value, 1)
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} length carries no value")
-
-    @classmethod
-    def zero(cls) -> "LengthValue":
-        return cls("zero")
-
-    @classmethod
-    def finite(cls, value: int) -> "LengthValue":
-        check_integer("value", value, 0)
-        if value == 0:
-            return cls.zero()
-        return cls("finite", value)
-
-    @classmethod
-    def infinite(cls) -> "LengthValue":
-        return cls("infinite")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def to_json(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite", "value": str(self.value)}
-        return {"kind": self.kind}
 
 
 def nonvanishing_indices(n: int, m: int) -> set[int]:
@@ -81,18 +33,18 @@ def dual_index(m: int, n: int, j: int) -> int:
     return m * n - j
 
 
-def local_cohomology_length(m: int, t: int, j: int) -> LengthValue:
+def local_cohomology_length(m: int, t: int, j: int) -> int | None:
     """Length of H^j_m(R/I^t) for the 2 x m matrix and its 2 x 2 minors.
 
-    Infinite at the top index j = m + 1 (the Krull dimension of R/I^t),
-    the cumulative closed form at j = 3 (zero at t = 1, where R/I is
-    Cohen-Macaulay), and zero everywhere else.
+    ``None`` (infinite length) at the top index j = m + 1, the Krull
+    dimension of R/I^t; the cumulative closed form at j = 3 (zero at t = 1,
+    where R/I is Cohen-Macaulay); and zero everywhere else.
     """
     check_integer("m", m, 3)
     check_integer("t", t, 1)
     check_integer("j", j, 0, 2 * m)
     if j == m + 1:
-        return LengthValue.infinite()
+        return None
     if j == 3:
-        return LengthValue.finite(cumulative_length(m, t))
-    return LengthValue.zero()
+        return cumulative_length(m, t)
+    return 0

@@ -50,14 +50,6 @@ class LayerSummand:
     glm_weight: DominantWeight
     dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "lambda": list(self.gl2_weight),
-            "lambda_s": list(self.glm_weight),
-            "dim": str(self.dim),
-        }
-
 
 def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     """All filtration indices (z, l) for the t-th power of the size-``minor_size`` minor ideal.

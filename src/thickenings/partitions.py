@@ -42,9 +42,8 @@ class Partition(tuple):
         return f"Partition({list(self)})"
 
     def pad(self, length: int) -> tuple[int, ...]:
-        """Parts padded with zeros to the given length."""
-        if length < len(self):
-            raise ValueError(f"cannot pad {self!r} to length {length}")
+        """Parts padded with zeros to the given length, at least ``len(self)``."""
+        check_integer("length", length, len(self))
         return self + (0,) * (length - len(self))
 
 

@@ -57,12 +57,6 @@ class SuiteResult:
         if not ok:
             self.failures.append(detail)
 
-    def summary(self) -> str:
-        if not self.cases:
-            return f"{self.name}: FAIL (no case checked)"
-        status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failed)"
-        return f"{self.name}: {status} ({self.cases} cases)"
-
 
 def verify_schur() -> SuiteResult:
     """Weyl product against tableau counting, plus power closed forms.

@@ -122,17 +122,6 @@ class TestDecompose:
 
 
 class TestVerify:
-    def test_identities_count(self):
-        result = invoke("verify", "--suite", "identities", "--max-b", "40")
-        assert result.exit_code == 0
-        assert "identities: PASS (861 cases)" in result.output
-        assert "all checks passed" in result.output
-
-    def test_catalan_count(self):
-        result = invoke("verify", "--suite", "catalan", "--max-m", "20")
-        assert result.exit_code == 0
-        assert "catalan: PASS (18 cases)" in result.output
-
     @pytest.mark.parametrize(
         "suite, flag, value",
         [
@@ -155,4 +144,12 @@ class TestVerify:
         monkeypatch.setattr(verify, "catalan", lambda m: -1)
         result = invoke("verify", "--suite", "catalan", "--max-m", "5")
         assert result.exit_code == 1
-        assert "FAIL" in result.output
+        assert result.output.splitlines() == ["catalan: FAIL (3 failed) (3 cases)"] + [
+            f"  Catalan identity fails at m={m}" for m in (3, 4, 5)
+        ]
+
+    def test_zero_case_suite_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "verify_zset", lambda **bounds: verify.SuiteResult("zset"))
+        result = invoke("verify", "--suite", "zset")
+        assert result.exit_code == 1
+        assert result.output == "zset: FAIL (no case checked)\n"

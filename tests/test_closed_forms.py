@@ -16,12 +16,7 @@ from thickenings.closed_forms import (
     layer_length_closed,
     telescoping_holds,
 )
-from thickenings.cohomology import (
-    LengthValue,
-    dual_index,
-    local_cohomology_length,
-    nonvanishing_indices,
-)
+from thickenings.cohomology import dual_index, local_cohomology_length, nonvanishing_indices
 from thickenings.filtration import (
     contributing_weights,
     cumulative_length_via_decomposition,
@@ -30,7 +25,7 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import partitions_of
+from thickenings.partitions import Partition, partitions_of
 from thickenings.schur import schur_dim, ssyt_count, weyl_dim
 from thickenings.verify import (
     verify_catalan,
@@ -177,8 +172,7 @@ CHECKED = [
     (partitions_of_list, dict(n=6, max_rows=2), dict(n=0, max_rows=0)),
     (nonvanishing_indices, dict(n=2, m=5), dict(n=2, m=3)),
     (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
-    (LengthValue.finite, dict(value=3), dict(value=0)),
-    (LengthValue, dict(kind="finite", value=3), dict(value=1)),
+    (Partition([2, 1]).pad, dict(length=3), dict(length=2)),
     (verify_zset, dict(max_t=2), dict(max_t=1)),
     (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1)),
     (verify_identities, dict(max_b=2), dict(max_b=0)),

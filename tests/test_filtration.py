@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -134,15 +133,6 @@ class TestLayerSummands:
         for s in layer_summands(4, 5):
             assert s.epsilon == s.gl2_weight[0] - s.gl2_weight[1]
             assert weyl_dim(s.gl2_weight, 2) == s.epsilon + 1
-
-    def test_json_shape(self):
-        (s,) = layer_summands(4, 2)
-        payload = s.to_json()
-        assert set(payload) == {"epsilon", "lambda", "lambda_s", "dim"}
-        assert payload["dim"] == str(s.dim)
-        assert payload["lambda"] == [-4, -4]
-        assert len(payload["lambda_s"]) == 4
-        json.dumps(payload)
 
 
 def layer_total(m, t):
