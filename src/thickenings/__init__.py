@@ -33,7 +33,7 @@ from .filtration import (
     layer_summands,
     paired_weight,
 )
-from .partitions import DominantWeight, Partition, partitions_of
+from .partitions import DominantWeight, Partition
 from .schur import schur_dim, ssyt_count, tensor_pair_dim, weyl_dim
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "local_cohomology_length",
     "nonvanishing_indices",
     "paired_weight",
-    "partitions_of",
     "schur_dim",
     "ssyt_count",
     "telescoping_holds",

@@ -8,8 +8,8 @@ it is infinite. Every text line and JSON document is built here.
     thickenings decompose --m 3 --t 3         weight-by-weight layer listing
     thickenings verify --suite all            brute-force checks, exit 1 on failure
 
-All integers are emitted as decimal strings in JSON output; the lengths
-outgrow 64-bit integers quickly.
+In JSON output, lengths and dimensions are decimal strings, because they
+outgrow 64-bit integers quickly; m, t, epsilon and weight entries are numbers.
 """
 
 from __future__ import annotations
@@ -41,7 +41,12 @@ def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".thickenings-")
     try:
+        # mkstemp makes the file 0600; give it the mode a shell redirect would.
+        # Setting and restoring the umask is safe: the CLI runs in one thread.
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w", newline="\n") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -12,7 +12,7 @@ of that dimension) and its entries may be negative.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .closed_forms import check_integer
 
@@ -45,30 +45,6 @@ class Partition(tuple):
         """Parts padded with zeros to the given length, at least ``len(self)``."""
         check_integer("length", length, len(self))
         return self + (0,) * (length - len(self))
-
-
-def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n, optionally with at most max_rows parts."""
-    check_integer("n", n, 0)
-    if max_rows is not None:
-        check_integer("max_rows", max_rows, 0)
-    if n == 0:
-        yield Partition()
-        return
-    rows = n if max_rows is None else max_rows
-
-    def rec(remaining: int, max_part: int, rows_left: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if rows_left == 0:
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            for rest in rec(remaining - p, p, rows_left - 1):
-                yield (p,) + rest
-
-    for parts in rec(n, n, rows):
-        yield Partition(parts)
 
 
 class DominantWeight(tuple):

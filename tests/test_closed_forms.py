@@ -14,7 +14,6 @@ from thickenings.closed_forms import (
     identity_lhs,
     identity_rhs,
     layer_length_closed,
-    telescoping_holds,
 )
 from thickenings.cohomology import dual_index, local_cohomology_length, nonvanishing_indices
 from thickenings.filtration import (
@@ -25,7 +24,7 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import Partition, partitions_of
+from thickenings.partitions import Partition
 from thickenings.schur import schur_dim, ssyt_count, weyl_dim
 from thickenings.verify import (
     verify_catalan,
@@ -61,25 +60,15 @@ class TestLayerLengthClosed:
     def test_m4_t2(self):
         assert layer_length_closed(4, 2) == 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            layer_length_closed(2, 1)
-        with pytest.raises(ValueError):
-            layer_length_closed(3, 0)
-
 
 class TestCumulativeLength:
     def test_m3(self):
         assert [cumulative_length(3, t) for t in (1, 2, 3)] == [0, 1, 10]
 
-    def test_strictly_increasing_from_t2(self):
+    def test_strictly_increasing(self):
         for m in range(3, 9):
-            for t in range(2, 21):
+            for t in range(1, 21):
                 assert cumulative_length(m, t + 1) > cumulative_length(m, t)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cumulative_length(1, 1)
 
 
 class TestAsymptoticMultiplicity:
@@ -98,14 +87,6 @@ class TestAsymptoticMultiplicity:
 class TestCatalan:
     def test_sequence_start(self):
         assert [catalan(m) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
-
-    def test_matches_multiplicity(self):
-        for m in range(3, 21):
-            assert math.factorial(2 * m) * asymptotic_multiplicity(m) == catalan(m)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            catalan(0)
 
 
 class TestIdentity:
@@ -133,23 +114,6 @@ class TestIdentity:
         assert identity_holds(a, b)
 
 
-class TestTelescoping:
-    def test_small(self):
-        assert telescoping_holds(3, 3)
-        assert telescoping_holds(4, 1)
-        assert telescoping_holds(5, 10)
-
-    def test_grid(self):
-        for m in range(3, 8):
-            for t in range(1, 16):
-                assert telescoping_holds(m, t)
-
-
-def partitions_of_list(**kwargs):
-    """``partitions_of`` is a generator: its checks run on the first item."""
-    return list(partitions_of(**kwargs))
-
-
 # Each function that checks its integer parameters with ``check_integer``:
 # valid arguments, and the least value of each checked one.
 CHECKED = [
@@ -169,7 +133,6 @@ CHECKED = [
     (weyl_dim, dict(weight=(2, 1, 0), n=3), dict(n=1)),
     (schur_dim, dict(shape=(2, 1), n=3), dict(n=1)),
     (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1)),
-    (partitions_of_list, dict(n=6, max_rows=2), dict(n=0, max_rows=0)),
     (nonvanishing_indices, dict(n=2, m=5), dict(n=2, m=3)),
     (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
     (Partition([2, 1]).pad, dict(length=3), dict(length=2)),

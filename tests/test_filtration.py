@@ -1,10 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from thickenings.closed_forms import binom, cumulative_length, layer_length_closed
 from thickenings.filtration import (
-    FiltrationIndex,
     contributing_weights,
     cumulative_length_via_decomposition,
     degree_parameters,
@@ -12,30 +8,11 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import DominantWeight, Partition
+from thickenings.partitions import DominantWeight
 from thickenings.schur import weyl_dim
 
 
-def zz(z):
-    return FiltrationIndex(Partition((z, z)), 1)
-
-
 class TestFiltrationIndices:
-    def test_t1(self):
-        assert filtration_indices(2, 2, 1) == {zz(0)}
-
-    def test_t3(self):
-        assert filtration_indices(2, 2, 3) == {zz(0), zz(1), zz(2)}
-
-    def test_t5_all_level_one(self):
-        found = filtration_indices(2, 2, 5)
-        assert len(found) == 5
-        assert all(idx.l == 1 for idx in found)
-
-    def test_characterization_up_to_20(self):
-        for t in range(1, 21):
-            assert filtration_indices(2, 2, t) == {zz(z) for z in range(t)}
-
     def test_entries_satisfy_bounds(self):
         # general parameters: the invariants of the index pairs hold as stated
         for (n, d, t) in [(3, 2, 3), (3, 3, 2), (4, 2, 4)]:
@@ -84,10 +61,6 @@ class TestContributingWeights:
             for z in range(16):
                 assert len(contributing_weights(z, m)) == z
 
-    def test_negative_z_rejected(self):
-        with pytest.raises(ValueError):
-            contributing_weights(-1, 4)
-
 
 class TestPairedWeight:
     def test_formula(self):
@@ -135,40 +108,8 @@ class TestLayerSummands:
             assert weyl_dim(s.gl2_weight, 2) == s.epsilon + 1
 
 
-def layer_total(m, t):
-    return sum(s.dim for s in layer_summands(m, t))
-
-
-class TestLayerLength:
-    def test_small_values(self):
-        assert [layer_total(3, t) for t in (1, 2, 3)] == [0, 1, 9]
-
-    def test_matches_closed_form(self):
-        for m in range(3, 7):
-            for t in range(1, 9):
-                assert layer_total(m, t) == layer_length_closed(m, t)
-
-    def test_per_term_product_formula(self):
-        for m in range(3, 7):
-            for t in range(1, 9):
-                for s in layer_summands(m, t):
-                    e = s.epsilon
-                    term = Fraction(
-                        (e + 1) ** 2
-                        * binom(m + t - 3, m - 2)
-                        * binom(m + t - 4 - e, t - e - 2),
-                        m - 1,
-                    )
-                    assert term == s.dim
-
-
 class TestCumulativeDecomposition:
     def test_small_values(self):
         assert cumulative_length_via_decomposition(3, 1) == 0
         assert cumulative_length_via_decomposition(3, 2) == 1
         assert cumulative_length_via_decomposition(3, 3) == 10
-
-    def test_matches_closed_form(self):
-        for m in range(3, 7):
-            for t in range(1, 9):
-                assert cumulative_length_via_decomposition(m, t) == cumulative_length(m, t)

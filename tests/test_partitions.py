@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thickenings.partitions import DominantWeight, Partition, partitions_of
+from thickenings.partitions import DominantWeight, Partition
 
 
 class TestPartition:
@@ -37,17 +37,6 @@ class TestPartition:
         data = json.loads(json.dumps(p))
         assert data == [4, 2, 2, 1]
         assert Partition(data) == p
-
-
-class TestPartitionsOf:
-    def test_counts(self):
-        expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
-        assert [len(list(partitions_of(n))) for n in range(9)] == expected
-
-    def test_max_rows(self):
-        all_of_six = list(partitions_of(6))
-        short = list(partitions_of(6, max_rows=2))
-        assert short == [p for p in all_of_six if len(p) <= 2]
 
 
 class TestDominantWeight:
