@@ -39,6 +39,15 @@ class TestTable:
 
 
 class TestDecompose:
+    def test_m3_t3(self):
+        result = invoke("decompose", "--m", "3", "--t", "3")
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == "epsilon=0  lambda=(-4, -4)  lambda_s=(-2, -3, -3)  dim=3"
+        assert lines[1] == "epsilon=1  lambda=(-3, -4)  lambda_s=(-2, -2, -3)  dim=6"
+        assert lines[2] == "total=9  closed_form=9  [match]"
+
     def test_t1_empty(self):
         result = invoke("decompose", "--m", "3", "--t", "1")
         assert result.exit_code == 0

@@ -54,6 +54,12 @@ class TestLocalCohomologyLength:
             for t in range(2, 8):
                 assert local_cohomology_length(m, t, 3) == cumulative_length(m, t)
 
+    def test_monotone_lengths(self):
+        # executable shadow of the injectivity of the maps between powers
+        for m in range(3, 8):
+            for t in range(1, 12):
+                assert cumulative_length(m, t) <= cumulative_length(m, t + 1)
+
     def test_hypothesis_violations_rejected(self):
         with pytest.raises(ValueError):
             local_cohomology_length(4, 1, 9)

@@ -1,6 +1,7 @@
 import pytest
 
 from thickenings.filtration import (
+    FiltrationIndex,
     contributing_weights,
     cumulative_length_via_decomposition,
     degree_parameters,
@@ -8,11 +9,26 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import DominantWeight
+from thickenings.partitions import DominantWeight, Partition
 from thickenings.schur import weyl_dim
 
 
+def zz(z):
+    return FiltrationIndex(Partition((z, z)), 1)
+
+
 class TestFiltrationIndices:
+    def test_t1(self):
+        assert filtration_indices(2, 2, 1) == {zz(0)}
+
+    def test_t3(self):
+        assert filtration_indices(2, 2, 3) == {zz(0), zz(1), zz(2)}
+
+    def test_t5_all_level_one(self):
+        found = filtration_indices(2, 2, 5)
+        assert len(found) == 5
+        assert all(idx.l == 1 for idx in found)
+
     def test_entries_satisfy_bounds(self):
         # general parameters: the invariants of the index pairs hold as stated
         for (n, d, t) in [(3, 2, 3), (3, 3, 2), (4, 2, 4)]:
@@ -106,6 +122,15 @@ class TestLayerSummands:
         for s in layer_summands(4, 5):
             assert s.epsilon == s.gl2_weight[0] - s.gl2_weight[1]
             assert weyl_dim(s.gl2_weight, 2) == s.epsilon + 1
+
+
+def layer_total(m, t):
+    return sum(s.dim for s in layer_summands(m, t))
+
+
+class TestLayerLength:
+    def test_small_values(self):
+        assert [layer_total(3, t) for t in (1, 2, 3)] == [0, 1, 9]
 
 
 class TestCumulativeDecomposition:
