@@ -32,9 +32,8 @@ class Partition(tuple):
         return super().__new__(cls, data)
 
     def __init__(self, parts: Iterable[int] = ()):
-        for a, b in zip(self, self[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {tuple(self)}")
+        if not all(map(operator.ge, self, self[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {tuple(self)}")
         if self and self[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {tuple(self)}")
 
@@ -62,9 +61,8 @@ class DominantWeight(tuple):
     def __init__(self, entries: Iterable[int]):
         if not self:
             raise ValueError("a dominant weight needs at least one entry")
-        for a, b in zip(self, self[1:]):
-            if a < b:
-                raise ValueError(f"entries must be weakly decreasing: {tuple(self)}")
+        if not all(map(operator.ge, self, self[1:])):
+            raise ValueError(f"entries must be weakly decreasing: {tuple(self)}")
 
     def __repr__(self) -> str:
         return f"DominantWeight({list(self)})"

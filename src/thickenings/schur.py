@@ -1,17 +1,18 @@
 """Exact dimensions of Schur functors on finite-dimensional complex spaces.
 
 Two independent routes are kept side by side: ``weyl_dim`` evaluates the
-closed product formula
+closed product formula (Fulton-Harris, Representation Theory, 24.1)
 
     dim S_lambda(C^n) = prod_{1 <= i < j <= n} (lambda_i - lambda_j + j - i) / (j - i)
 
-while ``ssyt_count`` counts semistandard tableaux by plain backtracking,
-with no formula shortcuts, precisely so it can serve as an oracle for the
-product.
+one block of equal entries at a time, while ``ssyt_count`` counts
+semistandard tableaux by plain backtracking, with no formula shortcuts,
+precisely so it can serve as an oracle for the product.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 from .closed_forms import check_integer
@@ -20,6 +21,19 @@ from .partitions import DominantWeight, Partition, _as_partition, _as_weight
 
 def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     """Dimension of the Schur functor of a length-n dominant weight on C^n.
+
+    The Weyl product is taken run by run. A pair inside a run of equal
+    entries contributes exactly 1. For an earlier run I = [i0, i1) of value
+    x and a later run J = [j0, j1) of value y, write c = x - y, p = |I| and
+    q = |J|; the block of pairs I x J contributes
+
+        prod_{d=j0-i0}^{j1-i0-1} C(c + d, p) / C(d, p)    (a factor per j in J)
+      = prod_{e=j1-i1}^{j1-i0-1} C(c + e, q) / C(e, q)    (a factor per i in I)
+
+    and the loop runs over the shorter of the two runs. One left-to-right
+    pass finds the runs, so the cost is one O(n) scan plus about
+    (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
+    of the n(n-1)/2 factors of the plain product.
 
     The product is accumulated as an exact rational and checked to be an
     integer at the end; dominance guarantees the check passes, so a failure
@@ -31,10 +45,28 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         raise ValueError(f"weight {w!r} has length {len(w)}, expected {n}")
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
+    runs: list[tuple[int, int, int]] = []  # (i0, i1, x) of each run passed
+    j0 = 0
+    y = w[0]
+    for j1 in range(1, n + 1):
+        if j1 < n and w[j1] == y:
+            continue
+        q = j1 - j0
+        for i0, i1, x in runs:
+            c = x - y
+            p = i1 - i0
+            if q <= p:
+                for d in range(j0 - i0, j1 - i0):
+                    num *= comb(c + d, p)
+                    den *= comb(d, p)
+            else:
+                for e in range(j1 - i1, j1 - i0):
+                    num *= comb(c + e, q)
+                    den *= comb(e, q)
+        runs.append((j0, j1, y))
+        if j1 < n:
+            j0 = j1
+            y = w[j1]
     if num % den:
         raise ArithmeticError(f"Weyl product for {w!r} is not an integer")
     return num // den

@@ -1,5 +1,6 @@
 import pytest
 
+from thickenings.closed_forms import cumulative_length
 from thickenings.filtration import (
     FiltrationIndex,
     contributing_weights,
@@ -138,3 +139,9 @@ class TestCumulativeDecomposition:
         assert cumulative_length_via_decomposition(3, 1) == 0
         assert cumulative_length_via_decomposition(3, 2) == 1
         assert cumulative_length_via_decomposition(3, 3) == 10
+
+    def test_matches_closed_form_at_large_m(self):
+        # Long weights: the route stays fast only because the Weyl product
+        # works run by run instead of over all m(m-1)/2 pairs.
+        for m, t in ((50, 100), (150, 40), (200, 30)):
+            assert cumulative_length_via_decomposition(m, t) == cumulative_length(m, t)

@@ -12,11 +12,33 @@ def weight_strategy(max_len=5):
     ).map(lambda xs: DominantWeight(sorted(xs, reverse=True)))
 
 
-class TestWeylDim:
-    def test_symmetric_power_on_c2(self):
-        for eps in range(8):
-            assert weyl_dim((eps, 0), 2) == eps + 1
+# A few distinct values, each repeated, so that long runs of equal entries
+# sit next to short ones across large gaps; the weight is cut at length 30.
+run_weights = st.lists(
+    st.tuples(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=1, max_value=20)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda run: run[0],
+).map(
+    lambda runs: DominantWeight(
+        [v for v, k in sorted(runs, reverse=True) for _ in range(k)][:30]
+    )
+)
 
+
+def plain_weyl_product(w):
+    """The Weyl product over all n(n-1)/2 pairs, one factor at a time."""
+    n = len(w)
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+class TestWeylDim:
     def test_trivial_weight(self):
         for n in range(1, 6):
             assert weyl_dim((0,) * n, n) == 1
@@ -31,6 +53,10 @@ class TestWeylDim:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             weyl_dim((1, 0), 3)
+
+    @given(run_weights)
+    def test_matches_plain_product(self, w):
+        assert weyl_dim(w, len(w)) == plain_weyl_product(w)
 
     @given(weight_strategy(), st.integers(min_value=-3, max_value=3))
     def test_shift_invariance(self, w, c):
@@ -52,10 +78,6 @@ class TestSsytCount:
 
     def test_hook_two_letters(self):
         assert ssyt_count(Partition([2, 1]), 2) == 2
-
-    def test_single_row(self):
-        for eps in range(7):
-            assert ssyt_count(Partition([eps] if eps else []), 2) == eps + 1
 
     def test_empty_shape(self):
         assert ssyt_count(Partition(), 3) == 1
