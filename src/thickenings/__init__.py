@@ -28,7 +28,6 @@ from .filtration import (
     LayerSummand,
     contributing_weights,
     cumulative_length_via_decomposition,
-    degree_parameters,
     filtration_indices,
     layer_summands,
     paired_weight,
@@ -49,7 +48,6 @@ __all__ = [
     "contributing_weights",
     "cumulative_length",
     "cumulative_length_via_decomposition",
-    "degree_parameters",
     "dual_index",
     "filtration_indices",
     "identity_holds",

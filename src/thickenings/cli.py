@@ -54,10 +54,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _fmt_weight(weight) -> str:
-    return "(" + ", ".join(str(e) for e in weight) + ")"
-
-
 @click.group()
 def main():
     """Exact lengths of local cohomology of determinantal thickenings.
@@ -157,8 +153,8 @@ def decompose(m: int, t: int, as_json: bool):
     else:
         for s in summands:
             click.echo(
-                f"epsilon={s.epsilon}  lambda={_fmt_weight(s.gl2_weight)}  "
-                f"lambda_s={_fmt_weight(s.glm_weight)}  dim={s.dim}"
+                f"epsilon={s.epsilon}  lambda={tuple(s.gl2_weight)}  "
+                f"lambda_s={tuple(s.glm_weight)}  dim={s.dim}"
             )
         marker = "match" if total == closed else "MISMATCH"
         click.echo(f"total={total}  closed_form={closed}  [{marker}]")

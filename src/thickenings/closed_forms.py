@@ -1,9 +1,9 @@
 """Closed forms and combinatorial identities, all in exact arithmetic.
 
-Every division goes through :func:`fractions.Fraction` with an integrality
-check at the end, never integer division, so a transcription slip fails
-loudly instead of truncating. Binomials vanish outside 0 <= k <= n; the
-t = 1 layer silently relies on that convention.
+Every division that must come out whole goes through :func:`exact_quotient`,
+which raises on a remainder, so a transcription slip fails loudly instead of
+truncating. Binomials vanish outside 0 <= k <= n; the t = 1 layer silently
+relies on that convention.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ def check_integer(name: str, value: object, least: int, most: int | None = None)
         raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
-def _as_integer(q: Fraction, what: str) -> int:
-    if q.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {q}")
-    return q.numerator
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den, raising ``ArithmeticError`` (naming ``what``) on a remainder."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what} is not an integer")
+    return q
 
 
 def layer_length_closed(m: int, t: int) -> int:
@@ -45,16 +47,18 @@ def layer_length_closed(m: int, t: int) -> int:
     check_integer("m", m, 3)
     check_integer("t", t, 1)
     bracket = binom(m + t - 1, m + 1) + binom(m + t - 2, m + 1)
-    value = Fraction(binom(m + t - 3, m - 2) * bracket, m - 1)
-    return _as_integer(value, f"layer length at m={m}, t={t}")
+    return exact_quotient(
+        binom(m + t - 3, m - 2) * bracket, m - 1, f"layer length at m={m}, t={t}"
+    )
 
 
 def cumulative_length(m: int, t: int) -> int:
     """Length of H^3_m(R/I^t): (1/(m+1)) * C(m+t-2, m) * C(m+t-1, m)."""
     check_integer("m", m, 3)
     check_integer("t", t, 1)
-    value = Fraction(binom(m + t - 2, m) * binom(m + t - 1, m), m + 1)
-    return _as_integer(value, f"cumulative length at m={m}, t={t}")
+    return exact_quotient(
+        binom(m + t - 2, m) * binom(m + t - 1, m), m + 1, f"cumulative length at m={m}, t={t}"
+    )
 
 
 def asymptotic_multiplicity(m: int) -> Fraction:
@@ -70,7 +74,7 @@ def catalan(m: int) -> int:
     verification suite checks.
     """
     check_integer("m", m, 1)
-    return _as_integer(Fraction(binom(2 * m, m), m + 1), f"Catalan number at m={m}")
+    return exact_quotient(binom(2 * m, m), m + 1, f"Catalan number at m={m}")
 
 
 def identity_lhs(a: int, b: int) -> int:

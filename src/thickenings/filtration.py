@@ -3,7 +3,8 @@
 R is the polynomial ring on a 2 x m matrix of variables and I the ideal of
 its 2 x 2 minors. Powers I^t are GL-invariant, so R/I^t carries a finite
 GL-invariant filtration whose factors J_(z,l) are indexed by pairs of a
-partition z and an integer l, and Ext against R splits as a direct sum over
+weakly decreasing n-tuple z (a partition with at most n parts, zero-padded
+to length n) and an integer l, and Ext against R splits as a direct sum over
 those factors. Each factor in turn contributes, at cohomological index
 2m - 3, one summand S_{lambda(0)}(C^m) tensor S_lambda(C^2) per dominant
 weight lambda in an explicit interval. Summing exact dimensions over that
@@ -24,15 +25,19 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .closed_forms import check_integer
-from .partitions import DominantWeight, Partition, _as_weight
+from .partitions import DominantWeight, _as_weight
 from .schur import tensor_pair_dim
 
 
 @dataclass(frozen=True)
 class FiltrationIndex:
-    """Index (z, l) of one factor J_(z,l) of the Ext-split filtration."""
+    """Index (z, l) of one factor J_(z,l) of the Ext-split filtration.
 
-    z: Partition
+    ``z`` is a weakly decreasing n-tuple of nonnegative integers, zeros
+    kept, so for n = 2 it unpacks as ``z1, z2 = idx.z``.
+    """
+
+    z: tuple[int, ...]
     l: int
 
 
@@ -54,8 +59,8 @@ class LayerSummand:
 def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     """All filtration indices (z, l) for the t-th power of the size-``minor_size`` minor ideal.
 
-    Exhausts partitions z with at most n parts, each part at most t - 1, and
-    levels 0 <= l <= minor_size - 1, keeping the pairs that satisfy
+    Exhausts weakly decreasing n-tuples z with entries in 0..t - 1, zeros
+    kept, and levels 0 <= l <= minor_size - 1, keeping the pairs that satisfy
 
         z_1 = ... = z_{l+1} <= t - 1
         |z| + (t - z_1) * l + 1  <=  minor_size * t  <=  |z| + (t - z_1) * (l + 1)
@@ -74,29 +79,8 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
             lower = total + (t - z[0]) * l + 1
             upper = total + (t - z[0]) * (l + 1)
             if lower <= minor_size * t <= upper:
-                found.add(FiltrationIndex(Partition(z), l))
+                found.add(FiltrationIndex(z, l))
     return found
-
-
-def degree_parameters(m: int, j: int) -> tuple[int, int]:
-    """The unique (t1, s) putting a filtration factor's Ext in cohomological degree j.
-
-    With n = 2 every filtration index has l = 1, so the degree bookkeeping
-    reads 2m - 1 - s(m - 2) - 2*t1 = j over 0 <= s <= t1 <= 1. Only the top
-    degree j = 2m - 3 is supported, where the answer is (1, 0); solving by
-    enumeration keeps the uniqueness claim honest.
-    """
-    check_integer("m", m, 3)
-    check_integer("j", j, 2 * m - 3, 2 * m - 3)
-    solutions = [
-        (t1, s)
-        for t1 in range(2)
-        for s in range(t1 + 1)
-        if 2 * m - 1 - s * (m - 2) - 2 * t1 == j
-    ]
-    if len(solutions) != 1:
-        raise ValueError(f"expected a unique (t1, s) for m={m}, j={j}, found {solutions}")
-    return solutions[0]
 
 
 def contributing_weights(z: int, m: int) -> list[DominantWeight]:
@@ -163,7 +147,7 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     check_integer("t", t, 1)
     total = 0
     for idx in filtration_indices(2, 2, t):
-        z1, z2 = idx.z.pad(2)
+        z1, z2 = idx.z
         if idx.l != 1 or z1 != z2:
             raise AssertionError(f"unexpected filtration index {idx!r} for n = 2")
         for w in contributing_weights(z1, m):

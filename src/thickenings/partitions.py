@@ -4,17 +4,15 @@ Both are ``tuple`` subclasses whose constructor checks one invariant, so
 they index, iterate, compare, hash and serialize as the plain tuple of
 their entries. A partition is kept in canonical form: weakly decreasing,
 trailing zeros stripped, so ``(3, 2, 1)`` and ``(3, 2, 1, 0, 0, 0)`` are
-the same value; ``pad`` gives the zero-padded form. A dominant weight never
-normalizes: its length is semantic (it indexes a Schur functor on a space
-of that dimension) and its entries may be negative.
+the same value. A dominant weight never normalizes: its length is semantic
+(it indexes a Schur functor on a space of that dimension) and its entries
+may be negative.
 """
 
 from __future__ import annotations
 
 import operator
 from typing import Iterable, Sequence
-
-from .closed_forms import check_integer
 
 
 class Partition(tuple):
@@ -39,11 +37,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
-
-    def pad(self, length: int) -> tuple[int, ...]:
-        """Parts padded with zeros to the given length, at least ``len(self)``."""
-        check_integer("length", length, len(self))
-        return self + (0,) * (length - len(self))
 
 
 class DominantWeight(tuple):

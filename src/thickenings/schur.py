@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .closed_forms import check_integer
+from .closed_forms import check_integer, exact_quotient
 from .partitions import DominantWeight, Partition, _as_partition, _as_weight
 
 
@@ -35,9 +35,9 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
     of the n(n-1)/2 factors of the plain product.
 
-    The product is accumulated as an exact rational and checked to be an
-    integer at the end; dominance guarantees the check passes, so a failure
-    would mean the formula was transcribed wrong.
+    Numerator and denominator are accumulated as integers and divided once
+    by ``exact_quotient``; dominance guarantees the division is exact, so an
+    ``ArithmeticError`` would mean the formula was transcribed wrong.
     """
     w = _as_weight(weight)
     check_integer("n", n, 1)
@@ -67,9 +67,7 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         if j1 < n:
             j0 = j1
             y = w[j1]
-    if num % den:
-        raise ArithmeticError(f"Weyl product for {w!r} is not an integer")
-    return num // den
+    return exact_quotient(num, den, "Weyl product")
 
 
 def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
@@ -82,7 +80,7 @@ def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
     check_integer("n", n, 1)
     if len(p) > n:
         return 0
-    return weyl_dim(p.pad(n), n)
+    return weyl_dim(p + (0,) * (n - len(p)), n)
 
 
 def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:

@@ -10,6 +10,7 @@ from thickenings.closed_forms import (
     binom,
     catalan,
     cumulative_length,
+    exact_quotient,
     identity_holds,
     identity_lhs,
     identity_rhs,
@@ -19,12 +20,10 @@ from thickenings.cohomology import dual_index, local_cohomology_length, nonvanis
 from thickenings.filtration import (
     contributing_weights,
     cumulative_length_via_decomposition,
-    degree_parameters,
     filtration_indices,
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import Partition
 from thickenings.schur import schur_dim, ssyt_count, weyl_dim
 from thickenings.verify import (
     verify_catalan,
@@ -51,6 +50,12 @@ class TestBinom:
             assert binom(n, k) == math.comb(n, k)
         else:
             assert binom(n, k) == 0
+
+
+def test_exact_quotient():
+    assert exact_quotient(6, 3, "x") == 2
+    with pytest.raises(ArithmeticError, match="x is not an integer"):
+        exact_quotient(7, 2, "x")
 
 
 class TestLayerLengthClosed:
@@ -124,7 +129,6 @@ CHECKED = [
     (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0)),
     (asymptotic_multiplicity, dict(m=4), dict(m=3)),
     (catalan, dict(m=4), dict(m=1)),
-    (degree_parameters, dict(m=4, j=5), dict(m=3, j=5)),
     (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3)),
     (contributing_weights, dict(z=2, m=4), dict(z=0, m=3)),
     (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, minor_size=1, t=1)),
@@ -135,7 +139,6 @@ CHECKED = [
     (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1)),
     (nonvanishing_indices, dict(n=2, m=5), dict(n=2, m=3)),
     (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
-    (Partition([2, 1]).pad, dict(length=3), dict(length=2)),
     (verify_zset, dict(max_t=2), dict(max_t=1)),
     (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1)),
     (verify_identities, dict(max_b=2), dict(max_b=0)),

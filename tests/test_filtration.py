@@ -1,21 +1,21 @@
 import pytest
 
+from thickenings import filtration
 from thickenings.closed_forms import cumulative_length
 from thickenings.filtration import (
     FiltrationIndex,
     contributing_weights,
     cumulative_length_via_decomposition,
-    degree_parameters,
     filtration_indices,
     layer_summands,
     paired_weight,
 )
-from thickenings.partitions import DominantWeight, Partition
+from thickenings.partitions import DominantWeight
 from thickenings.schur import weyl_dim
 
 
 def zz(z):
-    return FiltrationIndex(Partition((z, z)), 1)
+    return FiltrationIndex((z, z), 1)
 
 
 class TestFiltrationIndices:
@@ -35,8 +35,8 @@ class TestFiltrationIndices:
         for (n, d, t) in [(3, 2, 3), (3, 3, 2), (4, 2, 4)]:
             for idx in filtration_indices(n, d, t):
                 assert 0 <= idx.l <= d - 1
-                assert len(idx.z) <= n
-                z = idx.z.pad(n)
+                z = idx.z
+                assert len(z) == n
                 assert all(z[i] == z[0] for i in range(idx.l + 1))
                 assert z[0] <= t - 1
                 total = sum(z)
@@ -46,18 +46,6 @@ class TestFiltrationIndices:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             filtration_indices(2, 3, 3)
-
-
-class TestDegreeParameters:
-    @pytest.mark.parametrize("m", [3, 4, 5, 8])
-    def test_unique_solution(self, m):
-        assert degree_parameters(m, 2 * m - 3) == (1, 0)
-
-    def test_other_index_rejected(self):
-        with pytest.raises(ValueError, match="j must be at least 7, got 6"):
-            degree_parameters(5, 6)
-        with pytest.raises(ValueError, match="j must be at most 5, got 6"):
-            degree_parameters(4, 6)
 
 
 class TestContributingWeights:
@@ -139,6 +127,13 @@ class TestCumulativeDecomposition:
         assert cumulative_length_via_decomposition(3, 1) == 0
         assert cumulative_length_via_decomposition(3, 2) == 1
         assert cumulative_length_via_decomposition(3, 3) == 10
+
+    def test_rejects_an_index_outside_the_n2_shape(self, monkeypatch):
+        monkeypatch.setattr(
+            filtration, "filtration_indices", lambda n, k, t: {FiltrationIndex((2, 1), 1)}
+        )
+        with pytest.raises(AssertionError, match="unexpected filtration index"):
+            cumulative_length_via_decomposition(3, 3)
 
     def test_matches_closed_form_at_large_m(self):
         # Long weights: the route stays fast only because the Weyl product

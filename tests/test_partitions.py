@@ -27,11 +27,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([2, -1])
 
-    def test_pad(self):
-        assert Partition([2, 1]).pad(4) == (2, 1, 0, 0)
-        with pytest.raises(ValueError):
-            Partition([2, 1]).pad(1)
-
     def test_json_round_trip(self):
         p = Partition([4, 2, 2, 1])
         data = json.loads(json.dumps(p))
