@@ -65,7 +65,8 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
         z_1 = ... = z_{l+1} <= t - 1
         |z| + (t - z_1) * l + 1  <=  minor_size * t  <=  |z| + (t - z_1) * (l + 1)
 
-    The part bound makes the search space finite.
+    The part bound makes the search space finite: the search examines
+    exactly C(t - 1 + n, n) * minor_size candidates (z, l).
     """
     check_integer("n", n, 1)
     check_integer("minor_size", minor_size, 1, n)
@@ -100,8 +101,9 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     """The length-m weight lambda(0) paired with a length-2 weight lambda.
 
     lambda(0) = (-2, ..., -2, lambda_1 + m - 2, lambda_2 + m - 2) with m - 2
-    copies of -2. Dominance needs lambda_1 <= -m; a violation means the
-    input was outside the contributing range and is rejected.
+    copies of -2, built from those three runs by ``DominantWeight.from_runs``.
+    Dominance needs lambda_1 <= -m; a violation means the input was outside
+    the contributing range and is rejected.
     """
     w = _as_weight(weight)
     if len(w) != 2:
@@ -109,7 +111,7 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     check_integer("m", m, 3)
     if w[0] > -m:
         raise ValueError(f"weight {w!r} is out of range: first entry must be <= {-m}")
-    return DominantWeight((-2,) * (m - 2) + (w[0] + m - 2, w[1] + m - 2))
+    return DominantWeight.from_runs(((-2, m - 2), (w[0] + m - 2, 1), (w[1] + m - 2, 1)))
 
 
 def layer_summands(m: int, t: int) -> list[LayerSummand]:

@@ -30,10 +30,11 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         prod_{d=j0-i0}^{j1-i0-1} C(c + d, p) / C(d, p)    (a factor per j in J)
       = prod_{e=j1-i1}^{j1-i0-1} C(c + e, q) / C(e, q)    (a factor per i in I)
 
-    and the loop runs over the shorter of the two runs. One left-to-right
-    pass finds the runs, so the cost is one O(n) scan plus about
-    (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
-    of the n(n-1)/2 factors of the plain product.
+    and the loop runs over the shorter of the two runs. A dominant weight
+    keeps equal entries contiguous, so each run ends where the C-level
+    ``tuple.count`` of its first entry says. The cost is one ``count`` per
+    run plus about (number of runs)^2 x (shorter run length) ``math.comb``
+    calls, in place of the n(n-1)/2 factors of the plain product.
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
@@ -47,10 +48,9 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     den = 1
     runs: list[tuple[int, int, int]] = []  # (i0, i1, x) of each run passed
     j0 = 0
-    y = w[0]
-    for j1 in range(1, n + 1):
-        if j1 < n and w[j1] == y:
-            continue
+    while j0 < n:
+        y = w[j0]
+        j1 = j0 + w.count(y)
         q = j1 - j0
         for i0, i1, x in runs:
             c = x - y
@@ -64,9 +64,7 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
                     num *= comb(c + e, q)
                     den *= comb(e, q)
         runs.append((j0, j1, y))
-        if j1 < n:
-            j0 = j1
-            y = w[j1]
+        j0 = j1
     return exact_quotient(num, den, "Weyl product")
 
 
@@ -88,8 +86,9 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
 
     Rows weakly increase, columns strictly increase. Complete backtracking
     enumeration, one leaf per tableau; returns 0 when the shape has more
-    than n rows and 1 for the empty shape. Exponential in the number of
-    boxes, callers keep shapes small.
+    than n rows and 1 for the empty shape. It visits exactly
+    ``schur_dim(shape, n)`` leaves, so its cost is known before it runs and
+    grows exponentially with the number of boxes; callers keep shapes small.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)

@@ -58,6 +58,16 @@ class TestWeylDim:
     def test_matches_plain_product(self, w):
         assert weyl_dim(w, len(w)) == plain_weyl_product(w)
 
+    @given(run_weights.filter(lambda w: w[0] != w[-1]), st.randoms())
+    def test_rejects_non_dominant(self, w, rnd):
+        # The run scan counts each run's entries, which is right only when
+        # equal entries are contiguous; every other order must be refused.
+        entries = list(w)
+        while tuple(entries) == w:
+            rnd.shuffle(entries)
+        with pytest.raises(ValueError):
+            weyl_dim(tuple(entries), len(entries))
+
     @given(weight_strategy(), st.integers(min_value=-3, max_value=3))
     def test_shift_invariance(self, w, c):
         assert weyl_dim(w, len(w)) == weyl_dim(tuple(e + c for e in w), len(w))
