@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 
 import click
 
@@ -38,6 +37,10 @@ class _Command(click.Command):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    # Imported here, as only ``table --out`` needs it: at module level it
+    # loads random, shutil, bz2 and lzma into every command's start-up.
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".thickenings-")
     try:

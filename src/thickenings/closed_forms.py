@@ -9,7 +9,10 @@ relies on that convention.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def binom(n: int, k: int) -> int:
@@ -63,6 +66,9 @@ def cumulative_length(m: int, t: int) -> int:
 
 def asymptotic_multiplicity(m: int) -> Fraction:
     """Limit of cumulative_length(m, t) / t^(2m): exactly 1 / ((m+1) * m!^2)."""
+    # Imported here, its one use, so that importing the package skips fractions and decimal.
+    from fractions import Fraction
+
     check_integer("m", m, 3)
     return Fraction(1, (m + 1) * math.factorial(m) ** 2)
 

@@ -20,17 +20,15 @@ check rather than assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .closed_forms import check_integer
 from .partitions import DominantWeight, _as_weight
 from .schur import tensor_pair_dim
 
 
-@dataclass(frozen=True)
-class FiltrationIndex:
+class FiltrationIndex(NamedTuple):
     """Index (z, l) of one factor J_(z,l) of the Ext-split filtration.
 
     ``z`` is a weakly decreasing n-tuple of nonnegative integers, zeros
@@ -41,8 +39,7 @@ class FiltrationIndex:
     l: int
 
 
-@dataclass(frozen=True)
-class LayerSummand:
+class LayerSummand(NamedTuple):
     """One weight summand of Ext^{2m-3}(I^{t-1}/I^t, R).
 
     ``gl2_weight`` is the length-2 weight lambda, ``glm_weight`` the paired
@@ -67,6 +64,10 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
 
     The part bound makes the search space finite: the search examines
     exactly C(t - 1 + n, n) * minor_size candidates (z, l).
+
+    For n = minor_size = 2 the indices are exactly ((z, z), 1), 0 <= z <= t - 1.
+    Level l = 0: the upper bound reads 2t <= t + z_2, so z_2 >= t, impossible.
+    Level l = 1: z_1 = z_2 = z, and the bounds read t + z + 1 <= 2t <= 2t, so z <= t - 1.
     """
     check_integer("n", n, 1)
     check_integer("minor_size", minor_size, 1, n)

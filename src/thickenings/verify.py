@@ -8,7 +8,6 @@ comparisons always run a second, independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .closed_forms import (
@@ -41,11 +40,13 @@ SUITE_BOUNDS = {
 SUITE_NAMES = tuple(SUITE_BOUNDS)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The case count and failure details of one suite run, filled by ``check``."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -79,6 +79,7 @@ class TestCumulativeLength:
 class TestAsymptoticMultiplicity:
     def test_values(self):
         assert asymptotic_multiplicity(3) == Fraction(1, 144)
+        assert isinstance(asymptotic_multiplicity(3), Fraction)
         assert asymptotic_multiplicity(4) == Fraction(1, 2880)
 
     def test_ratio_converges(self):

@@ -113,6 +113,24 @@ class TestLayerSummands:
             assert weyl_dim(s.gl2_weight, 2) == s.epsilon + 1
 
 
+class TestRecords:
+    def test_fields_are_read_only(self):
+        for record, name in ((zz(1), "l"), (layer_summands(3, 2)[0], "dim")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_sets_hash_and_compare_by_fields(self):
+        assert {zz(1), FiltrationIndex((1, 1), 1), zz(2)} == {zz(2), zz(1)}
+        assert len({*layer_summands(4, 5), *layer_summands(4, 5)}) == 4
+
+    def test_repr(self):
+        assert repr(zz(1)) == "FiltrationIndex(z=(1, 1), l=1)"
+        assert repr(layer_summands(3, 2)[0]) == (
+            "LayerSummand(epsilon=0, gl2_weight=DominantWeight([-3, -3]), "
+            "glm_weight=DominantWeight([-2, -2, -2]), dim=1)"
+        )
+
+
 def layer_total(m, t):
     return sum(s.dim for s in layer_summands(m, t))
 
