@@ -69,6 +69,12 @@ class TestVerify:
         assert result.exit_code == 2
         assert "PASS" not in result.output
 
+    def test_bounds_at_their_caps_are_accepted(self):
+        # catalan reads only --max-m, so every cap is parsed in well under a
+        # second. CI's decomposition step runs --max-m 200 --max-t 24.
+        result = invoke("verify", "--suite", "catalan", "--max-m", "200", "--max-t", "100", "--max-b", "400")
+        assert result.exit_code == 0
+
     def test_unknown_suite_is_usage_error(self):
         result = invoke("verify", "--suite", "nonsense")
         assert result.exit_code == 2

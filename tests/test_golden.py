@@ -42,6 +42,9 @@ CASES = [
     ("table-narrow-matrix", ["table", "--m-min", "2", "--m-max", "4", "--t-min", "1", "--t-max", "3"], 2),
     ("table-zero-power", ["table", "--m-min", "3", "--m-max", "4", "--t-min", "0", "--t-max", "3"], 2),
     ("table-empty-range", ["table", "--m-min", "4", "--m-max", "3", "--t-min", "1", "--t-max", "2"], 2),
+    ("verify-max-m-over-cap", ["verify", "--suite", "all", "--max-m", "201"], 2),
+    ("verify-max-t-over-cap", ["verify", "--suite", "all", "--max-t", "1000000"], 2),
+    ("verify-max-b-over-cap", ["verify", "--suite", "all", "--max-b", "401"], 2),
 ]
 
 
