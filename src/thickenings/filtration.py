@@ -95,16 +95,16 @@ def contributing_weights(z: int, m: int) -> list[DominantWeight]:
     check_integer("z", z, 0)
     check_integer("m", m, 3)
     lam2 = 1 - z - m
-    return [DominantWeight((lam1, lam2)) for lam1 in range(lam2, -m + 1)]
+    # Dominant without a re-check: lambda_1 runs upward from lambda_2.
+    return [tuple.__new__(DominantWeight, (lam1, lam2)) for lam1 in range(lam2, -m + 1)]
 
 
 def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWeight:
     """The length-m weight lambda(0) paired with a length-2 weight lambda.
 
     lambda(0) = (-2, ..., -2, lambda_1 + m - 2, lambda_2 + m - 2) with m - 2
-    copies of -2, built from those three runs by ``DominantWeight.from_runs``.
-    Dominance needs lambda_1 <= -m; a violation means the input was outside
-    the contributing range and is rejected.
+    copies of -2. Dominance needs lambda_1 <= -m; a violation means the
+    input was outside the contributing range and is rejected.
     """
     w = _as_weight(weight)
     if len(w) != 2:
@@ -112,7 +112,8 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     check_integer("m", m, 3)
     if w[0] > -m:
         raise ValueError(f"weight {w!r} is out of range: first entry must be <= {-m}")
-    return DominantWeight.from_runs(((-2, m - 2), (w[0] + m - 2, 1), (w[1] + m - 2, 1)))
+    # Dominant without a re-check: -2 >= w[0] + m - 2 (checked above) >= w[1] + m - 2 (w is dominant).
+    return tuple.__new__(DominantWeight, (-2,) * (m - 2) + (w[0] + m - 2, w[1] + m - 2))
 
 
 def layer_summands(m: int, t: int) -> list[LayerSummand]:

@@ -57,32 +57,6 @@ class DominantWeight(tuple):
         if not all(map(operator.ge, self, self[1:])):
             raise ValueError(f"entries must be weakly decreasing: {tuple(self)}")
 
-    @classmethod
-    def from_runs(cls, runs: Iterable[tuple[int, int]]) -> DominantWeight:
-        """The weight made of runs of equal entries, given as (value, count) pairs.
-
-        Checks each run rather than each entry: values and counts are
-        integers, every count is at least 1, values weakly decrease from run
-        to run (adjacent runs may share a value), and there is at least one
-        entry. A failure raises what the entry-wise constructor raises on
-        the expanded entries; a count below 1 raises ``ValueError``. The
-        cost is one check per run plus the C-level ``(value,) * count``.
-        """
-        entries: tuple[int, ...] = ()
-        values = []
-        for value, count in runs:
-            value = operator.index(value)
-            count = operator.index(count)
-            if count < 1:
-                raise ValueError(f"run counts must be at least 1, got {count}")
-            entries += (value,) * count
-            values.append(value)
-        if not entries:
-            raise ValueError("a dominant weight needs at least one entry")
-        if not all(map(operator.ge, values, values[1:])):
-            raise ValueError(f"entries must be weakly decreasing: {entries}")
-        return super().__new__(cls, entries)
-
     def __repr__(self) -> str:
         return f"DominantWeight({list(self)})"
 

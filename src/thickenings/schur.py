@@ -30,7 +30,8 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         prod_{d=j0-i0}^{j1-i0-1} C(c + d, p) / C(d, p)    (a factor per j in J)
       = prod_{e=j1-i1}^{j1-i0-1} C(c + e, q) / C(e, q)    (a factor per i in I)
 
-    and the loop runs over the shorter of the two runs. A dominant weight
+    and the loop runs over the shorter of the two runs; when that run has
+    length 1, its one factor is taken without a loop. A dominant weight
     keeps equal entries contiguous, so each run ends where the C-level
     ``tuple.count`` of its first entry says. The cost is one ``count`` per
     run plus about (number of runs)^2 x (shorter run length) ``math.comb``
@@ -55,7 +56,13 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         for i0, i1, x in runs:
             c = x - y
             p = i1 - i0
-            if q <= p:
+            if q == 1:
+                num *= comb(c + j0 - i0, p)
+                den *= comb(j0 - i0, p)
+            elif p == 1:
+                num *= comb(c + j1 - i1, q)
+                den *= comb(j1 - i1, q)
+            elif q <= p:
                 for d in range(j0 - i0, j1 - i0):
                     num *= comb(c + d, p)
                     den *= comb(d, p)

@@ -89,6 +89,18 @@ class TestPairedWeight:
             paired_weight((-4, -4, -4), 3)
 
 
+def test_built_weights_are_dominant():
+    # The library builds these weights without re-checking them; check here.
+    for m in range(3, 41):
+        for z in range(41):
+            for w in contributing_weights(z, m):
+                glm = paired_weight(w, m)
+                for x in (w, glm):
+                    assert type(x) is DominantWeight
+                    assert x == DominantWeight(list(x))
+                assert len(glm) == m
+
+
 class TestLayerSummands:
     def test_m3_t2(self):
         (s,) = layer_summands(3, 2)
