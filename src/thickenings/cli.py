@@ -165,22 +165,20 @@ def decompose(m: int, t: int, as_json: bool):
         sys.exit(1)
 
 
-# Caps on the verify bounds, from a budget of one minute for
-# `verify --suite all` with every bound at its cap, on one core: about 27 s
-# for decomposition at (max_m, max_t) = (200, 100), 13 s for identities at
-# max_b = 400, and well under a second for zset and catalan.
-MAX_M, MAX_T, MAX_B = 200, 100, 400
-
-
 @main.command()
 @click.option(
     "--suite",
     type=click.Choice(list(verify_suites.SUITE_NAMES) + ["all"]),
     required=True,
 )
-@click.option("--max-m", type=click.IntRange(3, MAX_M), help="Upper m bound, read by the decomposition and catalan suites.")
-@click.option("--max-t", type=click.IntRange(1, MAX_T), help="Upper t bound, read by the zset and decomposition suites.")
-@click.option("--max-b", type=click.IntRange(0, MAX_B), help="Upper b bound, read by the identities suite.")
+# The caps come from a budget of one minute for `verify --suite all` with
+# every bound at its cap, on one core: about 18 s for decomposition at
+# (max_m, max_t) = (200, 100), 12 s for identities at max_b = 400, and well
+# under a second for zset and catalan. A core slowed by other load can take
+# up to twice that.
+@click.option("--max-m", type=click.IntRange(3, 200), help="Upper m bound, read by the decomposition and catalan suites.")
+@click.option("--max-t", type=click.IntRange(1, 100), help="Upper t bound, read by the zset and decomposition suites.")
+@click.option("--max-b", type=click.IntRange(0, 400), help="Upper b bound, read by the identities suite.")
 def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None):
     """Run brute-force verification suites; exit 0 only if every case passes.
 
