@@ -15,6 +15,14 @@ import operator
 from typing import Iterable, Sequence
 
 
+def _integers(xs: Iterable[int]) -> tuple[int, ...]:
+    """The entries as ints: ``TypeError`` for a bool or a non-integer."""
+    data = tuple(xs)
+    if bool in map(type, data):
+        raise TypeError(f"entries must be integers, not bools: {data}")
+    return tuple(map(operator.index, data))
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers (a Young diagram).
 
@@ -24,7 +32,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        data = tuple(map(operator.index, parts))
+        data = _integers(parts)
         while data and data[-1] == 0:
             data = data[:-1]
         return super().__new__(cls, data)
@@ -49,7 +57,7 @@ class DominantWeight(tuple):
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[int]):
-        return super().__new__(cls, map(operator.index, entries))
+        return super().__new__(cls, _integers(entries))
 
     def __init__(self, entries: Iterable[int]):
         if not self:

@@ -2,8 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thickenings.closed_forms import (
     asymptotic_multiplicity,
@@ -44,12 +42,10 @@ class TestBinom:
         assert binom(3, -1) == 0
         assert binom(-2, 1) == 0
 
-    @given(st.integers(min_value=-5, max_value=30), st.integers(min_value=-5, max_value=35))
-    def test_matches_comb_in_range(self, n, k):
-        if 0 <= k <= n:
-            assert binom(n, k) == math.comb(n, k)
-        else:
-            assert binom(n, k) == 0
+    def test_matches_comb_in_range(self):
+        for n in range(-5, 31):
+            for k in range(-5, 36):
+                assert binom(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
 
 
 def test_exact_quotient():
@@ -70,9 +66,9 @@ class TestCumulativeLength:
     def test_m3(self):
         assert [cumulative_length(3, t) for t in (1, 2, 3)] == [0, 1, 10]
 
-    def test_strictly_increasing_from_t2(self):
+    def test_strictly_increasing_from_t1(self):
         for m in range(3, 9):
-            for t in range(2, 21):
+            for t in range(1, 21):
                 assert cumulative_length(m, t + 1) > cumulative_length(m, t)
 
 
@@ -113,11 +109,10 @@ class TestIdentity:
         with pytest.raises(ValueError):
             identity_rhs(3, 2)
 
-    @given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=80))
-    def test_holds_everywhere(self, a, b):
-        if a > b:
-            a, b = b, a
-        assert identity_holds(a, b)
+    def test_holds_everywhere(self):
+        for b in range(81):
+            for a in range(b + 1):
+                assert identity_holds(a, b)
 
 
 # Each function that checks its integer parameters with ``check_integer``:
@@ -155,11 +150,11 @@ CHECKED_ARGUMENTS = [
     CHECKED_ARGUMENTS,
     ids=[f"{fn.__qualname__}-{name}" for fn, _, name, _ in CHECKED_ARGUMENTS],
 )
-@settings(max_examples=25)
-@given(data=st.data())
-def test_integer_arguments_are_checked(fn, args, name, least, data):
+def test_integer_arguments_are_checked(fn, args, name, least):
     fn(**args)
-    with pytest.raises(TypeError):
-        fn(**{**args, name: data.draw(st.one_of(st.booleans(), st.floats()))})
-    with pytest.raises(ValueError):
-        fn(**{**args, name: data.draw(st.integers(max_value=least - 1))})
+    for bad in (True, False, 0.0, 3.0, 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(TypeError):
+            fn(**{**args, name: bad})
+    for low in (least - 1, least - 2**70):
+        with pytest.raises(ValueError):
+            fn(**{**args, name: low})

@@ -1,8 +1,7 @@
 import json
+import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from thickenings.partitions import DominantWeight, Partition
 
@@ -56,9 +55,9 @@ class TestDominantWeight:
         assert json.dumps(DominantWeight([-4, -5])) == "[-4, -5]"
 
 
-@given(st.floats())
-def test_non_integer_entries_rejected(x):
-    with pytest.raises(TypeError):
-        Partition([x])
-    with pytest.raises(TypeError):
-        DominantWeight([x, x])
+def test_non_integer_entries_rejected():
+    for x in (True, False, 0.0, 2.0, 0.5, math.inf, -math.inf, math.nan, 1e300):
+        with pytest.raises(TypeError):
+            Partition([x])
+        with pytest.raises(TypeError):
+            DominantWeight([x, x])

@@ -1,29 +1,30 @@
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from itertools import combinations_with_replacement, product
 
-from thickenings.partitions import DominantWeight, Partition
+import pytest
+
+from thickenings.partitions import Partition
 from thickenings.schur import schur_dim, ssyt_count, tensor_pair_dim, weyl_dim
 
 
-def weight_strategy(max_len=5):
-    return st.lists(
-        st.integers(min_value=-6, max_value=6), min_size=1, max_size=max_len
-    ).map(lambda xs: DominantWeight(sorted(xs, reverse=True)))
+def compositions(n):
+    """Every sequence of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
 
 
-# A few distinct values, each repeated, so that long runs of equal entries
-# sit next to short ones across large gaps; the weight is cut at length 30.
-run_weights = st.lists(
-    st.tuples(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=1, max_value=20)),
-    min_size=1,
-    max_size=6,
-    unique_by=lambda run: run[0],
-).map(
-    lambda runs: DominantWeight(
-        [v for v, k in sorted(runs, reverse=True) for _ in range(k)][:30]
-    )
-)
+# Run lengths: long runs next to short ones in every order, and every
+# composition of a short weight. Each becomes a weight twice, once with unit
+# gaps between run values and once with large gaps, cut at length 30.
+RUN_LENGTHS = [
+    *(lengths for r in range(1, 5) for lengths in product((1, 2, 3, 20), repeat=r)),
+    *(lengths for n in range(1, 9) for lengths in compositions(n)),
+]
+RUN_WEIGHTS = [
+    tuple(v for i, k in enumerate(lengths) for v in [500 - gap * i] * k)[:30]
+    for gap in (1, 997)
+    for lengths in RUN_LENGTHS
+]
 
 
 def plain_weyl_product(w):
@@ -54,23 +55,26 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             weyl_dim((1, 0), 3)
 
-    @given(run_weights)
-    def test_matches_plain_product(self, w):
-        assert weyl_dim(w, len(w)) == plain_weyl_product(w)
+    def test_matches_plain_product(self):
+        assert len(RUN_WEIGHTS) == 1190
+        for w in RUN_WEIGHTS:
+            assert weyl_dim(w, len(w)) == plain_weyl_product(w)
 
-    @given(run_weights.filter(lambda w: w[0] != w[-1]), st.randoms())
-    def test_rejects_non_dominant(self, w, rnd):
+    def test_rejects_non_dominant(self):
         # The run scan counts each run's entries, which is right only when
         # equal entries are contiguous; every other order must be refused.
-        entries = list(w)
-        while tuple(entries) == w:
-            rnd.shuffle(entries)
-        with pytest.raises(ValueError):
-            weyl_dim(tuple(entries), len(entries))
+        for n in range(1, 6):
+            for w in product(range(4), repeat=n):
+                if list(w) != sorted(w, reverse=True):
+                    with pytest.raises(ValueError):
+                        weyl_dim(w, n)
 
-    @given(weight_strategy(), st.integers(min_value=-3, max_value=3))
-    def test_shift_invariance(self, w, c):
-        assert weyl_dim(w, len(w)) == weyl_dim(tuple(e + c for e in w), len(w))
+    def test_shift_invariance(self):
+        for n in range(1, 6):
+            for w in combinations_with_replacement(range(6, -7, -1), n):
+                dim = weyl_dim(w, n)
+                for c in range(-3, 4):
+                    assert weyl_dim(tuple(e + c for e in w), n) == dim
 
 
 class TestSchurDim:
