@@ -37,19 +37,12 @@ class _Command(click.Command):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # Imported here, as only ``table --out`` needs it: at module level it
-    # loads random, shutil, bz2 and lzma into every command's start-up.
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".thickenings-")
+    # The kernel masks os.open's 0o666 as it does a shell redirect's mode.
+    # O_EXCL refuses a temp file that a killed run with this pid left behind.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp makes the file 0600; give it the mode a shell redirect would.
-        # Setting and restoring the umask is safe: the CLI runs in one thread.
-        umask = os.umask(0)
-        os.umask(umask)
         with os.fdopen(fd, "w", newline="\n") as handle:
-            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

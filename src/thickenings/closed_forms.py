@@ -96,14 +96,3 @@ def identity_rhs(a: int, b: int) -> int:
     check_integer("b", b, a)
     return binom(b + 2, a + 3) + binom(b + 1, a + 3)
 
-
-def identity_holds(a: int, b: int) -> bool:
-    """Whether the square-weighted binomial sum matches its closed form."""
-    return identity_lhs(a, b) == identity_rhs(a, b)
-
-
-def telescoping_holds(m: int, t_max: int) -> bool:
-    """Whether the layer lengths up to t_max sum to the cumulative closed form."""
-    total = sum(layer_length_closed(m, t) for t in range(1, t_max + 1))
-    return total == cumulative_length(m, t_max)
-

@@ -16,9 +16,9 @@ from .closed_forms import (
     catalan,
     check_integer,
     cumulative_length,
-    identity_holds,
+    identity_lhs,
+    identity_rhs,
     layer_length_closed,
-    telescoping_holds,
 )
 from .filtration import (
     FiltrationIndex,
@@ -109,14 +109,23 @@ def verify_zset(max_t: int = 20) -> SuiteResult:
 
 
 def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
-    """Weight-by-weight layer sums against the closed forms."""
+    """Weight-by-weight layer sums against the closed forms.
+
+    Per m: a case for each t's layer, one for the cumulative route at max_t,
+    and one for the layer lengths telescoping at every t up to max_t.
+    """
     check_integer("max_m", max_m, 3)
     check_integer("max_t", max_t, 1)
     res = SuiteResult("decomposition")
     for m in range(3, max_m + 1):
+        running, untelescoped_at = 0, None
         for t in range(1, max_t + 1):
             summands = layer_summands(m, t)
-            ok = sum(s.dim for s in summands) == layer_length_closed(m, t)
+            layer = layer_length_closed(m, t)
+            running += layer
+            if untelescoped_at is None and running != cumulative_length(m, t):
+                untelescoped_at = t
+            ok = sum(s.dim for s in summands) == layer
             for s in summands:
                 e = s.epsilon
                 term = (e + 1) ** 2 * binom(m + t - 3, m - 2) * binom(m + t - 4 - e, t - e - 2)
@@ -128,8 +137,8 @@ def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
             f"cumulative decomposition mismatch at m={m}, t={max_t}",
         )
         res.check(
-            telescoping_holds(m, max_t),
-            f"layer sums do not telescope at m={m}, t={max_t}",
+            untelescoped_at is None,
+            f"layer sums do not telescope at m={m}, t={untelescoped_at}",
         )
     return res
 
@@ -140,7 +149,7 @@ def verify_identities(max_b: int = 40) -> SuiteResult:
     res = SuiteResult("identities")
     for b in range(max_b + 1):
         for a in range(b + 1):
-            res.check(identity_holds(a, b), f"identity fails at a={a}, b={b}")
+            res.check(identity_lhs(a, b) == identity_rhs(a, b), f"identity fails at a={a}, b={b}")
     return res
 
 

@@ -20,6 +20,13 @@ class TestTable:
         )
         assert result.exit_code == 0
         assert target.read_text() == "m,t,layer,cumulative\n3,1,0,0\n3,2,1,1\n"
+        # a second write replaces the existing file
+        result = invoke(
+            "table", "--m-min", "3", "--m-max", "3", "--t-min", "3", "--t-max", "3",
+            "--out", str(target),
+        )
+        assert result.exit_code == 0
+        assert target.read_text() == "m,t,layer,cumulative\n3,3,9,10\n"
         umask = os.umask(0)
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
@@ -36,22 +43,6 @@ class TestTable:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: ") and result.output.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
-
-
-class TestDecompose:
-    def test_m3_t3(self):
-        result = invoke("decompose", "--m", "3", "--t", "3")
-        assert result.exit_code == 0
-        lines = result.output.splitlines()
-        assert len(lines) == 3
-        assert lines[0] == "epsilon=0  lambda=(-4, -4)  lambda_s=(-2, -3, -3)  dim=3"
-        assert lines[1] == "epsilon=1  lambda=(-3, -4)  lambda_s=(-2, -2, -3)  dim=6"
-        assert lines[2] == "total=9  closed_form=9  [match]"
-
-    def test_t1_empty(self):
-        result = invoke("decompose", "--m", "3", "--t", "1")
-        assert result.exit_code == 0
-        assert result.output == "total=0  closed_form=0  [match]\n"
 
 
 class TestVerify:

@@ -31,6 +31,7 @@ CASES = [
     ),
     ("decompose", ["decompose", "--m", "5", "--t", "6"], 0),
     ("decompose-json", ["decompose", "--m", "7", "--t", "9", "--json"], 0),
+    ("decompose-empty-layer", ["decompose", "--m", "3", "--t", "1"], 0),
     ("verify-all", ["verify", "--suite", "all"], 0),
     ("verify-all-bounded", ["verify", "--suite", "all", "--max-m", "5", "--max-t", "6", "--max-b", "10"], 0),
     # Usage errors: exit code 2, and the message goes to stderr only.
