@@ -14,11 +14,11 @@ outgrow 64-bit integers quickly; m, t, epsilon and weight entries are numbers.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
+from types import SimpleNamespace
 
 from . import verify as verify_suites
 from .closed_forms import cumulative_length, layer_length_closed
@@ -26,19 +26,81 @@ from .cohomology import local_cohomology_length
 from .filtration import layer_summands
 
 
-class _Command(click.Command):
-    """Reports the library's ``ValueError`` for a bad m, t or j as a usage error (exit 2)."""
+_HELP = "Show this message and exit."
 
-    def invoke(self, ctx: click.Context):
+
+class _Main:
+    """The ``thickenings`` command: ``main()`` runs ``sys.argv[1:]``.
+
+    ``commands`` maps a name to its ``options`` and the ``callback`` that
+    takes them as keywords and returns 1 to fail. The callback is looked up
+    at each run, so a wrapper set on it (``bench/tracer.py`` sets one) runs.
+    """
+
+    def __init__(self, description: str):
+        self.description = description
+        self.commands: dict[str, SimpleNamespace] = {}
+
+    def command(self, *options):
+        def register(callback):
+            self.commands[callback.__name__] = SimpleNamespace(callback=callback, options=options)
+            return callback
+
+        return register
+
+    def main(self, args: list[str] | None = None, prog_name: str = "thickenings") -> None:
+        """Run one command line: return when it succeeds, else raise ``SystemExit``.
+
+        ``--help`` exits 0. A library ``ValueError`` is a usage error (exit 2).
+        An interrupt prints ``Aborted!`` and exits 1; a closed pipe exits 1
+        silently.
+        """
+        parser = argparse.ArgumentParser(prog=prog_name, description=self.description, add_help=False, allow_abbrev=False)
+        parser.add_argument("--help", action="help", help=_HELP)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for name, command in self.commands.items():
+            doc = command.callback.__doc__ or ""
+            sub = subparsers.add_parser(name, help=doc.split("\n")[0], description=doc, add_help=False, allow_abbrev=False)
+            for flag, spec in (("--help", dict(action="help", help=_HELP)), *command.options):
+                sub.add_argument(flag, **spec)
+        kwargs = vars(parser.parse_args(args))
+        name = kwargs.pop("command")
         try:
-            return super().invoke(ctx)
+            status = self.commands[name].callback(**kwargs)
+            sys.stdout.flush()
         except ValueError as exc:
-            raise click.BadParameter(str(exc), ctx=ctx) from exc
+            subparsers.choices[name].error(str(exc))
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr)
+            sys.exit(1)
+        except BrokenPipeError:
+            # Point stdout at devnull, so the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        if status:
+            sys.exit(status)
+
+    __call__ = main
+
+
+def _bounded(least: int, most: int):
+    """An ``argparse`` type: an integer in ``least..most``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not least <= value <= most:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {least}..{most}")
+        return value
+
+    return integer
 
 
 def _write_atomic(path: str, text: str) -> None:
+    # Through a symlink, the temp file goes beside the link's target and
+    # replaces the target, as a shell redirect writes through the link.
     # The kernel masks os.open's 0o666 as it does a shell redirect's mode.
     # O_EXCL refuses a temp file that a killed run with this pid left behind.
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -50,45 +112,49 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-@click.group()
-def main():
+main = _Main(
     """Exact lengths of local cohomology of determinantal thickenings.
 
     R is the polynomial ring on a 2 x m matrix of variables, I the ideal of
     its 2 x 2 minors. The commands compute lengths of H^j_m(R/I^t) and
     cross-check every closed form against brute-force enumeration.
     """
+)
 
 
-@main.command(cls=_Command)
-@click.option("--m", "m", type=int, required=True, help="Number of matrix columns, at least 3.")
-@click.option("--t", "t", type=int, required=True, help="Power of the ideal, at least 1.")
-@click.option("--j", "j", type=int, default=3, show_default=True, help="Cohomological index, 0..2m.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the JSON form instead of text.")
+@main.command(
+    ("--m", dict(type=int, required=True, help="Number of matrix columns, at least 3.")),
+    ("--t", dict(type=int, required=True, help="Power of the ideal, at least 1.")),
+    ("--j", dict(type=int, default=3, help="Cohomological index, 0..2m (default: %(default)s).")),
+    ("--json", dict(dest="as_json", action="store_true", help="Emit the JSON form instead of text.")),
+)
 def length(m: int, t: int, j: int, as_json: bool):
     """Length of H^j_m(R/I^t): zero, finite, or infinite."""
     value = local_cohomology_length(m, t, j)
     kind = "infinite" if value is None else "finite" if value else "zero"
     if as_json:
         payload = {"kind": kind, "value": str(value)} if kind == "finite" else {"kind": kind}
-        click.echo(json.dumps(payload))
+        print(json.dumps(payload))
     elif kind == "finite":
-        click.echo(f"finite {value}")
+        print(f"finite {value}")
     else:
-        click.echo(kind)
+        print(kind)
 
 
-@main.command(cls=_Command)
-@click.option("--m-min", type=int, required=True)
-@click.option("--m-max", type=int, required=True)
-@click.option("--t-min", type=int, required=True)
-@click.option("--t-max", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write atomically to a file instead of stdout.")
-def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | None):
+@main.command(
+    ("--m-min", dict(type=int, required=True, help="Smallest m, at least 3.")),
+    ("--m-max", dict(type=int, required=True, help="Largest m, at least --m-min.")),
+    ("--t-min", dict(type=int, required=True, help="Smallest t, at least 1.")),
+    ("--t-max", dict(type=int, required=True, help="Largest t, at least --t-min.")),
+    ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help="Output format (default: %(default)s).")),
+    ("--out", dict(metavar="FILE", help="Write atomically to a file instead of stdout.")),
+)
+def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | None) -> int | None:
     """Layer and cumulative lengths over an (m, t) grid, m ascending then t."""
     if m_min > m_max or t_min > t_max:
-        raise click.BadParameter("empty range")
+        raise ValueError("empty range")
+    if out is not None and os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory")
     rows = []
     for m in range(m_min, m_max + 1):
         for t in range(t_min, t_max + 1):
@@ -110,16 +176,18 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
         try:
             _write_atomic(out, text)
         except OSError as exc:
-            raise click.FileError(out, exc.strerror)
+            print(f"Error: Could not open file {out!r}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command(cls=_Command)
-@click.option("--m", "m", type=int, required=True)
-@click.option("--t", "t", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit the summand list as JSON.")
-def decompose(m: int, t: int, as_json: bool):
+@main.command(
+    ("--m", dict(type=int, required=True, help="Number of matrix columns, at least 3.")),
+    ("--t", dict(type=int, required=True, help="Power of the ideal whose new layer is listed, at least 1.")),
+    ("--json", dict(dest="as_json", action="store_true", help="Emit the summand list as JSON.")),
+)
+def decompose(m: int, t: int, as_json: bool) -> int | None:
     """List the weight summands of the layer new at power t.
 
     Prints one line per summand and a final line comparing the summand
@@ -145,34 +213,31 @@ def decompose(m: int, t: int, as_json: bool):
             "closed_form": str(closed),
             "match": total == closed,
         }
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for s in summands:
-            click.echo(
+            print(
                 f"epsilon={s.epsilon}  lambda={tuple(s.gl2_weight)}  "
                 f"lambda_s={tuple(s.glm_weight)}  dim={s.dim}"
             )
         marker = "match" if total == closed else "MISMATCH"
-        click.echo(f"total={total}  closed_form={closed}  [{marker}]")
+        print(f"total={total}  closed_form={closed}  [{marker}]")
     if total != closed:
-        sys.exit(1)
+        return 1
 
 
-@main.command()
-@click.option(
-    "--suite",
-    type=click.Choice(list(verify_suites.SUITE_NAMES) + ["all"]),
-    required=True,
-)
 # The caps come from a budget of one minute for `verify --suite all` with
 # every bound at its cap, on one core: about 18 s for decomposition at
 # (max_m, max_t) = (200, 100), 12 s for identities at max_b = 400, and well
 # under a second for zset and catalan. A core slowed by other load can take
 # up to twice that.
-@click.option("--max-m", type=click.IntRange(3, 200), help="Upper m bound, read by the decomposition and catalan suites.")
-@click.option("--max-t", type=click.IntRange(1, 100), help="Upper t bound, read by the zset and decomposition suites.")
-@click.option("--max-b", type=click.IntRange(0, 400), help="Upper b bound, read by the identities suite.")
-def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None):
+@main.command(
+    ("--suite", dict(choices=[*verify_suites.SUITE_NAMES, "all"], required=True, help="Suite to run, or all of them.")),
+    ("--max-m", dict(type=_bounded(3, 200), help="Upper m bound, 3..200, read by the decomposition and catalan suites.")),
+    ("--max-t", dict(type=_bounded(1, 100), help="Upper t bound, 1..100, read by the zset and decomposition suites.")),
+    ("--max-b", dict(type=_bounded(0, 400), help="Upper b bound, 0..400, read by the identities suite.")),
+)
+def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None) -> int | None:
     """Run brute-force verification suites; exit 0 only if every case passes.
 
     The schur suite reads no bound. A suite that checks no case fails.
@@ -181,18 +246,18 @@ def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None):
     failed = False
     for result in results:
         if not result.cases:
-            click.echo(f"{result.name}: FAIL (no case checked)")
+            print(f"{result.name}: FAIL (no case checked)")
         else:
             status = "PASS" if result.passed else f"FAIL ({len(result.failures)} failed)"
-            click.echo(f"{result.name}: {status} ({result.cases} cases)")
+            print(f"{result.name}: {status} ({result.cases} cases)")
         for detail in result.failures[:5]:
-            click.echo(f"  {detail}")
+            print(f"  {detail}")
         if len(result.failures) > 5:
-            click.echo(f"  ... and {len(result.failures) - 5} more")
+            print(f"  ... and {len(result.failures) - 5} more")
         failed = failed or not result.passed
     if failed:
-        sys.exit(1)
-    click.echo("all checks passed")
+        return 1
+    print("all checks passed")
 
 
 if __name__ == "__main__":

@@ -1,31 +1,27 @@
 import os
 
 import pytest
-from click.testing import CliRunner
+from test_golden import invoke
 
 from thickenings import verify
 from thickenings.cli import main
 
-
-def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+TABLE = ("table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2")
+TABLE_TEXT = "m,t,layer,cumulative\n3,1,0,0\n3,2,1,1\n"
 
 
 class TestTable:
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
-        result = invoke(
-            "table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2",
-            "--out", str(target),
-        )
-        assert result.exit_code == 0
-        assert target.read_text() == "m,t,layer,cumulative\n3,1,0,0\n3,2,1,1\n"
+        code, _, _ = invoke(*TABLE, "--out", str(target))
+        assert code == 0
+        assert target.read_text() == TABLE_TEXT
         # a second write replaces the existing file
-        result = invoke(
+        code, _, _ = invoke(
             "table", "--m-min", "3", "--m-max", "3", "--t-min", "3", "--t-max", "3",
             "--out", str(target),
         )
-        assert result.exit_code == 0
+        assert code == 0
         assert target.read_text() == "m,t,layer,cumulative\n3,3,9,10\n"
         umask = os.umask(0)
         os.umask(umask)
@@ -33,16 +29,31 @@ class TestTable:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "table.csv"]
         assert leftovers == []
 
-    def test_out_into_missing_directory_is_click_error(self, tmp_path):
-        target = tmp_path / "missing" / "table.csv"
-        result = invoke(
-            "table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2",
-            "--out", str(target),
-        )
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    def test_out_through_symlink_writes_its_target(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        code, _, _ = invoke(*TABLE, "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == TABLE_TEXT
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_out_into_missing_directory_is_one_line_error(self, tmp_path):
+        # invoke lets any exception but SystemExit through, so exit 1 here is
+        # a deliberate exit, not a crash.
+        code, out, err = invoke(*TABLE, "--out", str(tmp_path / "missing" / "table.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("Error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_to_existing_directory_is_usage_error(self, tmp_path):
+        code, out, err = invoke(*TABLE, "--out", str(tmp_path))
+        assert code == 2
+        assert out == "" and "is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
 
 
 class TestVerify:
@@ -56,30 +67,84 @@ class TestVerify:
         ],
     )
     def test_bound_out_of_range_is_usage_error(self, suite, flag, value):
-        result = invoke("verify", "--suite", suite, flag, value)
-        assert result.exit_code == 2
-        assert "PASS" not in result.output
+        code, out, _ = invoke("verify", "--suite", suite, flag, value)
+        assert code == 2
+        assert "PASS" not in out
 
     def test_bounds_at_their_caps_are_accepted(self):
         # catalan reads only --max-m, so every cap is parsed in well under a
         # second. CI's decomposition step runs --max-m 200 --max-t 24.
-        result = invoke("verify", "--suite", "catalan", "--max-m", "200", "--max-t", "100", "--max-b", "400")
-        assert result.exit_code == 0
+        code, _, _ = invoke("verify", "--suite", "catalan", "--max-m", "200", "--max-t", "100", "--max-b", "400")
+        assert code == 0
 
     def test_unknown_suite_is_usage_error(self):
-        result = invoke("verify", "--suite", "nonsense")
-        assert result.exit_code == 2
+        code, _, _ = invoke("verify", "--suite", "nonsense")
+        assert code == 2
 
     def test_failure_exits_one(self, monkeypatch):
         monkeypatch.setattr(verify, "catalan", lambda m: -1)
-        result = invoke("verify", "--suite", "catalan", "--max-m", "5")
-        assert result.exit_code == 1
-        assert result.output.splitlines() == ["catalan: FAIL (3 failed) (3 cases)"] + [
+        code, out, _ = invoke("verify", "--suite", "catalan", "--max-m", "5")
+        assert code == 1
+        assert out.splitlines() == ["catalan: FAIL (3 failed) (3 cases)"] + [
             f"  Catalan identity fails at m={m}" for m in (3, 4, 5)
         ]
 
     def test_zero_case_suite_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "verify_zset", lambda **bounds: verify.SuiteResult("zset"))
-        result = invoke("verify", "--suite", "zset")
-        assert result.exit_code == 1
-        assert result.output == "zset: FAIL (no case checked)\n"
+        code, out, _ = invoke("verify", "--suite", "zset")
+        assert code == 1
+        assert out == "zset: FAIL (no case checked)\n"
+
+
+# Each command's options as its --help lists them, whitespace collapsed.
+HELP = {
+    None: [
+        "length Length of H^j_m(R/I^t): zero, finite, or infinite.",
+        "table Layer and cumulative lengths over an (m, t) grid, m ascending then t.",
+        "decompose List the weight summands of the layer new at power t.",
+        "verify Run brute-force verification suites; exit 0 only if every case passes.",
+    ],
+    "length": [
+        "--m M Number of matrix columns, at least 3.",
+        "--t T Power of the ideal, at least 1.",
+        "--j J Cohomological index, 0..2m (default: 3).",
+        "--json Emit the JSON form instead of text.",
+    ],
+    "table": [
+        "--m-min M_MIN Smallest m, at least 3.",
+        "--m-max M_MAX Largest m, at least --m-min.",
+        "--t-min T_MIN Smallest t, at least 1.",
+        "--t-max T_MAX Largest t, at least --t-min.",
+        "--format {csv,json} Output format (default: csv).",
+        "--out FILE Write atomically to a file instead of stdout.",
+    ],
+    "decompose": [
+        "--m M Number of matrix columns, at least 3.",
+        "--t T Power of the ideal whose new layer is listed, at least 1.",
+        "--json Emit the summand list as JSON.",
+    ],
+    "verify": [
+        "--suite {schur,zset,decomposition,identities,catalan,all} Suite to run, or all of them.",
+        "--max-m MAX_M Upper m bound, 3..200, read by the decomposition and catalan suites.",
+        "--max-t MAX_T Upper t bound, 1..100, read by the zset and decomposition suites.",
+        "--max-b MAX_B Upper b bound, 0..400, read by the identities suite.",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "main")
+def test_help_names_every_option(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside an entry
+    code, out, err = invoke(*([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    text = " ".join(out.split())
+    for entry in HELP[command] + ["--help Show this message and exit."]:
+        assert entry in text
+
+
+def test_interrupt_prints_aborted_without_traceback(monkeypatch):
+    def interrupted(**options):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(main.commands["length"], "callback", interrupted)
+    assert invoke("length", "--m", "3", "--t", "3") == (1, "", "\nAborted!\n")

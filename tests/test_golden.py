@@ -1,16 +1,17 @@
 """CLI output pinned byte for byte against files in ``tests/golden/``.
 
-Each case runs one command through click's test runner and compares its
+Each case runs one command in-process through ``invoke`` and compares its
 stdout with ``tests/golden/<name>.txt`` and its exit code with the table.
 To capture the files again from the code on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from thickenings.cli import main
 
@@ -49,21 +50,29 @@ CASES = [
 ]
 
 
-def _run(args):
-    result = CliRunner().invoke(main, args)
-    return result.stdout_bytes, result.exit_code
+def invoke(*args):
+    """Run the CLI in-process on ``args``; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=list(args), prog_name="thickenings")
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name, args, exit_code", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(name, args, exit_code):
-    stdout, code = _run(args)
+    code, stdout, stderr = invoke(*args)
     assert code == exit_code
-    assert stdout == (GOLDEN / f"{name}.txt").read_bytes()
+    assert stdout.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert bool(stderr) == (exit_code == 2)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, args, exit_code in CASES:
-        stdout, code = _run(args)
+        code, stdout, _ = invoke(*args)
         assert code == exit_code, (name, code)
-        (GOLDEN / f"{name}.txt").write_bytes(stdout)
+        (GOLDEN / f"{name}.txt").write_bytes(stdout.encode())
