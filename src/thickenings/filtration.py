@@ -28,17 +28,6 @@ from .partitions import DominantWeight, _as_weight
 from .schur import tensor_pair_dim
 
 
-class FiltrationIndex(NamedTuple):
-    """Index (z, l) of one factor J_(z,l) of the Ext-split filtration.
-
-    ``z`` is a weakly decreasing n-tuple of nonnegative integers, zeros
-    kept, so for n = 2 it unpacks as ``z1, z2 = idx.z``.
-    """
-
-    z: tuple[int, ...]
-    l: int
-
-
 class LayerSummand(NamedTuple):
     """One weight summand of Ext^{2m-3}(I^{t-1}/I^t, R).
 
@@ -53,7 +42,7 @@ class LayerSummand(NamedTuple):
     dim: int
 
 
-def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
+def filtration_indices(n: int, minor_size: int, t: int) -> set[tuple[tuple[int, ...], int]]:
     """All filtration indices (z, l) for the t-th power of the size-``minor_size`` minor ideal.
 
     Exhausts weakly decreasing n-tuples z with entries in 0..t - 1, zeros
@@ -72,7 +61,7 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
     check_integer("n", n, 1)
     check_integer("minor_size", minor_size, 1, n)
     check_integer("t", t, 1)
-    found: set[FiltrationIndex] = set()
+    found = set()
     for z in combinations_with_replacement(range(t - 1, -1, -1), n):
         total = sum(z)
         for l in range(minor_size):
@@ -81,7 +70,7 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[FiltrationIndex]:
             lower = total + (t - z[0]) * l + 1
             upper = total + (t - z[0]) * (l + 1)
             if lower <= minor_size * t <= upper:
-                found.add(FiltrationIndex(z, l))
+                found.add((z, l))
     return found
 
 
@@ -150,10 +139,9 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     check_integer("m", m, 3)
     check_integer("t", t, 1)
     total = 0
-    for idx in filtration_indices(2, 2, t):
-        z1, z2 = idx.z
-        if idx.l != 1 or z1 != z2:
-            raise AssertionError(f"unexpected filtration index {idx!r} for n = 2")
+    for (z1, z2), l in filtration_indices(2, 2, t):
+        if l != 1 or z1 != z2:
+            raise AssertionError(f"unexpected filtration index {((z1, z2), l)!r} for n = 2")
         for w in contributing_weights(z1, m):
             total += tensor_pair_dim(paired_weight(w, m), w)
     return total

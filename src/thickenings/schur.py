@@ -30,12 +30,13 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         prod_{d=j0-i0}^{j1-i0-1} C(c + d, p) / C(d, p)    (a factor per j in J)
       = prod_{e=j1-i1}^{j1-i0-1} C(c + e, q) / C(e, q)    (a factor per i in I)
 
-    and the loop runs over the shorter of the two runs; when that run has
-    length 1, its one factor is taken without a loop. A dominant weight
-    keeps equal entries contiguous, so each run ends where the C-level
-    ``tuple.count`` of its first entry says. The cost is one ``count`` per
-    run plus about (number of runs)^2 x (shorter run length) ``math.comb``
-    calls, in place of the n(n-1)/2 factors of the plain product.
+    and one loop takes the form with fewer factors, from its own start to the
+    shared end j1 - i0 - 1. When the later run has length 1, its one factor
+    is taken without the loop. A dominant weight keeps equal entries
+    contiguous, so each run ends where the C-level ``tuple.count`` of its
+    first entry says. The cost is one ``count`` per run plus about
+    (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
+    of the n(n-1)/2 factors of the plain product.
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
@@ -59,17 +60,11 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
             if q == 1:
                 num *= comb(c + j0 - i0, p)
                 den *= comb(j0 - i0, p)
-            elif p == 1:
-                num *= comb(c + j1 - i1, q)
-                den *= comb(j1 - i1, q)
-            elif q <= p:
-                for d in range(j0 - i0, j1 - i0):
-                    num *= comb(c + d, p)
-                    den *= comb(d, p)
             else:
-                for e in range(j1 - i1, j1 - i0):
-                    num *= comb(c + e, q)
-                    den *= comb(e, q)
+                lo, size = (j0 - i0, p) if q <= p else (j1 - i1, q)
+                for d in range(lo, j1 - i0):
+                    num *= comb(c + d, size)
+                    den *= comb(d, size)
         runs.append((j0, j1, y))
         j0 = j1
     return exact_quotient(num, den, "Weyl product")

@@ -59,8 +59,8 @@ def test_criterion_4_schur_dimension_oracle():
 
 def test_criterion_5_binomial_identity():
     _criterion(
-        "5 square-weighted binomial identity on 0 <= a <= b <= 40",
-        lambda: verify.verify_identities(40).passed,
+        "5 square-weighted binomial identity on 0 <= a <= b <= 80",
+        lambda: verify.verify_identities(80).passed,
     )
 
 

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 
 import pytest
 from test_golden import invoke
 
 from thickenings import verify
 from thickenings.cli import main
+from thickenings.closed_forms import layer_length_closed
 
 TABLE = ("table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2")
 TABLE_TEXT = "m,t,layer,cumulative\n3,1,0,0\n3,2,1,1\n"
@@ -56,7 +59,20 @@ class TestTable:
         assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
 
 
+class TestDecompose:
+    @pytest.mark.parametrize("flags, verdict", [((), "[MISMATCH]"), (("--json",), '"match": false')], ids=["text", "json"])
+    def test_mismatch_exits_one(self, monkeypatch, flags, verdict):
+        monkeypatch.setattr("thickenings.cli.layer_length_closed", lambda m, t: layer_length_closed(m, t) + 1)
+        code, out, _ = invoke("decompose", "--m", "3", "--t", "3", *flags)
+        assert code == 1
+        assert verdict in out
+
+
 class TestVerify:
+    def test_run_unknown_suite(self):
+        with pytest.raises(ValueError):
+            verify.run("nope")
+
     @pytest.mark.parametrize(
         "suite, flag, value",
         [
@@ -83,10 +99,12 @@ class TestVerify:
 
     def test_failure_exits_one(self, monkeypatch):
         monkeypatch.setattr(verify, "catalan", lambda m: -1)
-        code, out, _ = invoke("verify", "--suite", "catalan", "--max-m", "5")
+        code, out, _ = invoke("verify", "--suite", "catalan", "--max-m", "10")
         assert code == 1
-        assert out.splitlines() == ["catalan: FAIL (3 failed) (3 cases)"] + [
-            f"  Catalan identity fails at m={m}" for m in (3, 4, 5)
+        assert out.splitlines() == [
+            "catalan: FAIL (8 failed) (8 cases)",
+            *(f"  Catalan identity fails at m={m}" for m in range(3, 8)),
+            "  ... and 3 more",
         ]
 
     def test_zero_case_suite_fails(self, monkeypatch):
@@ -148,3 +166,27 @@ def test_interrupt_prints_aborted_without_traceback(monkeypatch):
 
     monkeypatch.setattr(main.commands["length"], "callback", interrupted)
     assert invoke("length", "--m", "3", "--t", "3") == (1, "", "\nAborted!\n")
+
+
+@pytest.mark.parametrize(
+    "args, head",
+    [
+        (("table", "--m-min", "3", "--m-max", "40", "--t-min", "1", "--t-max", "500"), b"m,t,layer,cumulative"),
+        (("length", "--m", "3", "--t", "3"), b""),
+    ],
+    ids=["mid-write", "at-flush"],
+)
+def test_closed_pipe_exits_one_silently(args, head):
+    # The table (2.25 MB, far more than a pipe holds) meets the closed pipe
+    # mid-write; the length line meets it at the flush, where only the switch
+    # to devnull keeps the flush at exit from failing again. ``invoke`` has
+    # no real stdout file descriptor, so each runs in a subprocess. Under
+    # PYTHONUNBUFFERED a cut-short table write is dropped silently (exit 0),
+    # so the child runs buffered.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, "-m", "thickenings.cli", *args]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""

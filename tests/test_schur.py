@@ -101,14 +101,7 @@ class TestSsytCount:
 
 
 class TestTensorPairDim:
-    def test_trivial_pair(self):
-        assert tensor_pair_dim((-2, -2, -2), (-3, -3)) == 1
-
     def test_second_factor_trivial(self):
         for m in (3, 4, 5):
             for eps in range(4):
                 assert tensor_pair_dim((0,) * m, (eps, 0)) == eps + 1
-
-    def test_layer_pair(self):
-        # m=3, t=3, eps=1 summand
-        assert tensor_pair_dim((-2, -2, -3), (-3, -4)) == 6
