@@ -27,6 +27,7 @@ from .filtration import layer_summands
 
 
 _HELP = "Show this message and exit."
+_PIECE = 1 << 16  # characters per stdout write of ``table``
 
 
 class _Main:
@@ -53,8 +54,10 @@ class _Main:
 
         ``--help`` exits 0. A library ``ValueError`` is a usage error (exit 2).
         An interrupt prints ``Aborted!`` and exits 1; a closed pipe exits 1
-        silently.
+        silently; any other exception prints one ``Error:`` line and exits 1.
         """
+        if hasattr(sys, "set_int_max_str_digits"):  # print exact lengths at any size
+            sys.set_int_max_str_digits(0)
         parser = argparse.ArgumentParser(prog=prog_name, description=self.description, add_help=False, allow_abbrev=False)
         parser.add_argument("--help", action="help", help=_HELP)
         subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -77,22 +80,13 @@ class _Main:
             # Point stdout at devnull, so the flush at exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(1)
+        except Exception as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            sys.exit(1)
         if status:
             sys.exit(status)
 
     __call__ = main
-
-
-def _bounded(least: int, most: int):
-    """An ``argparse`` type: an integer in ``least..most``."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if not least <= value <= most:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range {least}..{most}")
-        return value
-
-    return integer
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -149,11 +143,11 @@ def length(m: int, t: int, j: int, as_json: bool):
     ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help="Output format (default: %(default)s).")),
     ("--out", dict(metavar="FILE", help="Write atomically to a file instead of stdout.")),
 )
-def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | None) -> int | None:
+def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | None) -> None:
     """Layer and cumulative lengths over an (m, t) grid, m ascending then t."""
     if m_min > m_max or t_min > t_max:
         raise ValueError("empty range")
-    if out is not None and os.path.isdir(out):
+    if out is not None and os.path.isdir(os.path.realpath(out)):
         raise ValueError(f"--out {out!r} is a directory")
     rows = []
     for m in range(m_min, m_max + 1):
@@ -173,13 +167,12 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
     else:
         text = json.dumps(rows, indent=2) + "\n"
     if out is not None:
-        try:
-            _write_atomic(out, text)
-        except OSError as exc:
-            print(f"Error: Could not open file {out!r}: {exc.strerror}", file=sys.stderr)
-            return 1
+        _write_atomic(out, text)
     else:
-        sys.stdout.write(text)
+        # In pieces: unbuffered, a closing reader cuts one write short without
+        # an error, and only the next write raises ``BrokenPipeError``.
+        for start in range(0, len(text), _PIECE):
+            sys.stdout.write(text[start : start + _PIECE])
 
 
 @main.command(
@@ -226,23 +219,23 @@ def decompose(m: int, t: int, as_json: bool) -> int | None:
         return 1
 
 
-# The caps come from a budget of one minute for `verify --suite all` with
-# every bound at its cap, on one core: about 18 s for decomposition at
-# (max_m, max_t) = (200, 100), 12 s for identities at max_b = 400, and well
-# under a second for zset and catalan. A core slowed by other load can take
-# up to twice that.
+def _bound_option(name: str):
+    least, most, readers = verify_suites.BOUNDS[name]
+    suites = " and ".join(readers) + " suite" + "s" * (len(readers) > 1)
+    text = f"Upper {name[-1]} bound, {least}..{most}, read by the {suites}."
+    return f"--{name.replace('_', '-')}", dict(type=int, help=text)
+
+
 @main.command(
     ("--suite", dict(choices=[*verify_suites.SUITE_NAMES, "all"], required=True, help="Suite to run, or all of them.")),
-    ("--max-m", dict(type=_bounded(3, 200), help="Upper m bound, 3..200, read by the decomposition and catalan suites.")),
-    ("--max-t", dict(type=_bounded(1, 100), help="Upper t bound, 1..100, read by the zset and decomposition suites.")),
-    ("--max-b", dict(type=_bounded(0, 400), help="Upper b bound, 0..400, read by the identities suite.")),
+    *map(_bound_option, verify_suites.BOUNDS),
 )
-def verify(suite: str, max_m: int | None, max_t: int | None, max_b: int | None) -> int | None:
+def verify(suite: str, **bounds: int | None) -> int | None:
     """Run brute-force verification suites; exit 0 only if every case passes.
 
     The schur suite reads no bound. A suite that checks no case fails.
     """
-    results = verify_suites.run(suite, max_m=max_m, max_t=max_t, max_b=max_b)
+    results = verify_suites.run(suite, **bounds)
     failed = False
     for result in results:
         if not result.cases:

@@ -3,6 +3,8 @@
 Each suite replays one family of claims on a bounded grid and reports a
 case count plus any failures. All but ``catalan`` compare against a second,
 independent route; ``catalan`` compares two rewritings of one closed form.
+``BOUNDS`` holds each bound's range and readers once; ``run`` and every
+suite check against it, so library calls are capped as the CLI is.
 """
 
 from __future__ import annotations
@@ -24,15 +26,23 @@ from .filtration import cumulative_length_via_decomposition, filtration_indices,
 from .partitions import Partition
 from .schur import schur_dim, ssyt_count, weyl_dim
 
-# Suite name -> the bounds of ``run`` that it reads; ``schur`` reads none.
-SUITE_BOUNDS = {
-    "schur": (),
-    "zset": ("max_t",),
-    "decomposition": ("max_m", "max_t"),
-    "identities": ("max_b",),
-    "catalan": ("max_m",),
+SUITE_NAMES = ("schur", "zset", "decomposition", "identities", "catalan")
+
+# Bound of ``run`` -> (least, largest, the suites that read it). The largest
+# values come from a budget of one minute for ``run("all")`` with every bound
+# at its largest, on one core: about 18 s for decomposition at (max_m, max_t)
+# = (200, 100), 12 s for identities at max_b = 400, and well under a second
+# for zset and catalan. A core slowed by other load can take twice that.
+BOUNDS = {
+    "max_m": (3, 200, ("decomposition", "catalan")),
+    "max_t": (1, 100, ("zset", "decomposition")),
+    "max_b": (0, 400, ("identities",)),
 }
-SUITE_NAMES = tuple(SUITE_BOUNDS)
+
+
+def _check_bound(name: str, value: object) -> None:
+    least, most, _ = BOUNDS[name]
+    check_integer(name, value, least, most)
 
 
 class SuiteResult:
@@ -92,7 +102,7 @@ def verify_schur() -> SuiteResult:
 
 def verify_zset(max_t: int = 20) -> SuiteResult:
     """General filtration-index search against the n = 2 characterization."""
-    check_integer("max_t", max_t, 1)
+    _check_bound("max_t", max_t)
     res = SuiteResult("zset")
     for t in range(1, max_t + 1):
         expected = {((z, z), 1) for z in range(t)}
@@ -109,8 +119,8 @@ def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
     Per m: a case for each t's layer, one for the cumulative route at max_t,
     and one for the layer lengths telescoping at every t up to max_t.
     """
-    check_integer("max_m", max_m, 3)
-    check_integer("max_t", max_t, 1)
+    _check_bound("max_m", max_m)
+    _check_bound("max_t", max_t)
     res = SuiteResult("decomposition")
     for m in range(3, max_m + 1):
         running, untelescoped_at = 0, None
@@ -140,7 +150,7 @@ def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
 
 def verify_identities(max_b: int = 40) -> SuiteResult:
     """Square-weighted binomial identity on the full 0 <= a <= b grid."""
-    check_integer("max_b", max_b, 0)
+    _check_bound("max_b", max_b)
     res = SuiteResult("identities")
     for b in range(max_b + 1):
         for a in range(b + 1):
@@ -154,7 +164,7 @@ def verify_catalan(max_m: int = 20) -> SuiteResult:
     Both sides rewrite one closed form; the long route is not run. The suite
     stays until a ``certify`` suite replaces it, because ``bench/`` lists it.
     """
-    check_integer("max_m", max_m, 3)
+    _check_bound("max_m", max_m)
     res = SuiteResult("catalan")
     for m in range(3, max_m + 1):
         res.check(
@@ -172,15 +182,16 @@ def run(
 ) -> list[SuiteResult]:
     """Run one named suite, or all of them, with optional bound overrides.
 
-    A bound left as None keeps the suite's default. Each suite is looked up
-    as the module attribute ``verify_<name>`` at call time, so a wrapper
-    installed over that attribute is the one that runs.
+    A bound left as None keeps the suite's default; every bound given is
+    checked first, read or not. Each suite is looked up as the attribute
+    ``verify_<name>`` at call time, so a wrapper installed over it runs.
     """
-    given = {"max_m": max_m, "max_t": max_t, "max_b": max_b}
-    results = []
-    for name in SUITE_NAMES if suite == "all" else (suite,):
-        if name not in SUITE_BOUNDS:
-            raise ValueError(f"unknown suite {name!r}")
-        bounds = {b: given[b] for b in SUITE_BOUNDS[name] if given[b] is not None}
-        results.append(globals()[f"verify_{name}"](**bounds))
-    return results
+    if suite != "all" and suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}")
+    given = {b: v for b, v in dict(max_m=max_m, max_t=max_t, max_b=max_b).items() if v is not None}
+    for name, value in given.items():
+        _check_bound(name, value)
+    return [
+        globals()[f"verify_{name}"](**{b: v for b, v in given.items() if name in BOUNDS[b][2]})
+        for name in (SUITE_NAMES if suite == "all" else (suite,))
+    ]

@@ -23,6 +23,7 @@ from thickenings.filtration import (
 )
 from thickenings.schur import schur_dim, ssyt_count, weyl_dim
 from thickenings.verify import (
+    run,
     verify_catalan,
     verify_decomposition,
     verify_identities,
@@ -130,6 +131,7 @@ CHECKED = [
     (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1)),
     (verify_identities, dict(max_b=2), dict(max_b=0)),
     (verify_catalan, dict(max_m=4), dict(max_m=3)),
+    (run, dict(suite="zset", max_m=3, max_t=1, max_b=0), dict(max_m=3, max_t=1, max_b=0)),
 ]
 CHECKED_ARGUMENTS = [
     (fn, args, name, least) for fn, args, lows in CHECKED for name, least in lows.items()

@@ -36,19 +36,6 @@ class TestDualIndex:
 
 
 class TestLocalCohomologyLength:
-    def test_finite_index(self):
-        assert local_cohomology_length(3, 2, 3) == 1
-        assert local_cohomology_length(3, 3, 3) == 10
-
-    def test_top_index_infinite(self):
-        assert local_cohomology_length(5, 4, 6) is None
-
-    def test_other_indices_zero(self):
-        assert local_cohomology_length(5, 4, 5) == 0
-
-    def test_t1_is_zero_at_3(self):
-        assert local_cohomology_length(4, 1, 3) == 0
-
     def test_matches_cumulative(self):
         for m in (3, 5):
             for t in range(2, 8):

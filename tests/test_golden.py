@@ -24,6 +24,7 @@ CASES = [
     ("length-finite-json", ["length", "--m", "7", "--t", "40", "--json"], 0),
     ("length-zero-json", ["length", "--m", "6", "--t", "9", "--j", "5", "--json"], 0),
     ("length-infinite-json", ["length", "--m", "6", "--t", "9", "--j", "7", "--json"], 0),
+    ("length-4327-digits", ["length", "--m", "3600", "--t", "3600"], 0),
     ("table-csv", ["table", "--m-min", "3", "--m-max", "12", "--t-min", "1", "--t-max", "60"], 0),
     (
         "table-json",
