@@ -55,9 +55,21 @@ class _Main:
         ``--help`` exits 0. A library ``ValueError`` is a usage error (exit 2).
         An interrupt prints ``Aborted!`` and exits 1; a closed pipe exits 1
         silently; any other exception prints one ``Error:`` line and exits 1.
+        Exact lengths are read and printed at any size: the ``str(int)``
+        digit limit is lifted for the run and put back after it.
         """
-        if hasattr(sys, "set_int_max_str_digits"):  # print exact lengths at any size
-            sys.set_int_max_str_digits(0)
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return self._run(args, prog_name)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            self._run(args, prog_name)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    __call__ = main
+
+    def _run(self, args: list[str] | None, prog_name: str) -> None:
         parser = argparse.ArgumentParser(prog=prog_name, description=self.description, add_help=False, allow_abbrev=False)
         parser.add_argument("--help", action="help", help=_HELP)
         subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -86,21 +98,25 @@ class _Main:
         if status:
             sys.exit(status)
 
-    __call__ = main
-
 
 def _write_atomic(path: str, text: str) -> None:
     # Through a symlink, the temp file goes beside the link's target and
     # replaces the target, as a shell redirect writes through the link.
     # The kernel masks os.open's 0o666 as it does a shell redirect's mode.
-    # O_EXCL refuses a temp file that a killed run with this pid left behind.
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # O_EXCL refuses a temp file that a killed run with this pid left behind;
+    # that error names the temp file, and any other names the path given.
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

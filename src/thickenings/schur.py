@@ -23,18 +23,20 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     """Dimension of the Schur functor of a length-n dominant weight on C^n.
 
     The Weyl product is taken run by run. A pair inside a run of equal
-    entries contributes exactly 1. For an earlier run I = [i0, i1) of value
-    x and a later run J = [j0, j1) of value y, write c = x - y, p = |I| and
-    q = |J|; the block of pairs I x J contributes
+    entries contributes exactly 1. For an earlier run of p entries of value
+    x starting at i0 and a later run of q entries of value y starting at j0,
+    write c = x - y and d = j0 - i0; the block of their pairs contributes
 
-        prod_{d=j0-i0}^{j1-i0-1} C(c + d, p) / C(d, p)    (a factor per j in J)
-      = prod_{e=j1-i1}^{j1-i0-1} C(c + e, q) / C(e, q)    (a factor per i in I)
+        prod_{e=d}^{d+q-1} C(c + e, p) / C(e, p)          (a factor per later entry)
+      = prod_{e=d+q-p}^{d+q-1} C(c + e, q) / C(e, q)      (a factor per earlier entry)
 
     and one loop takes the form with fewer factors, from its own start to the
-    shared end j1 - i0 - 1. When the later run has length 1, its one factor
+    shared end d + q - 1. When the later run has length 1, its one factor
     is taken without the loop. A dominant weight keeps equal entries
-    contiguous, so each run ends where the C-level ``tuple.count`` of its
-    first entry says. The cost is one ``count`` per run plus about
+    contiguous, so a run whose next entry differs has length 1, found with
+    one comparison, and a longer run ends where the C-level ``tuple.count``
+    of its first entry says. The cost is one comparison per one-entry run
+    and one ``count`` (a scan of all n entries) per longer run, plus about
     (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
     of the n(n-1)/2 factors of the plain product.
 
@@ -48,25 +50,24 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
         raise ValueError(f"weight {w!r} has length {len(w)}, expected {n}")
     num = 1
     den = 1
-    runs: list[tuple[int, int, int]] = []  # (i0, i1, x) of each run passed
+    runs: list[tuple[int, int, int]] = []  # (i0, p, x) of each run passed
     j0 = 0
     while j0 < n:
         y = w[j0]
-        j1 = j0 + w.count(y)
-        q = j1 - j0
-        for i0, i1, x in runs:
+        q = w.count(y) if j0 + 1 < n and w[j0 + 1] == y else 1
+        for i0, p, x in runs:
             c = x - y
-            p = i1 - i0
+            d = j0 - i0
             if q == 1:
-                num *= comb(c + j0 - i0, p)
-                den *= comb(j0 - i0, p)
+                num *= comb(c + d, p)
+                den *= comb(d, p)
             else:
-                lo, size = (j0 - i0, p) if q <= p else (j1 - i1, q)
-                for d in range(lo, j1 - i0):
-                    num *= comb(c + d, size)
-                    den *= comb(d, size)
-        runs.append((j0, j1, y))
-        j0 = j1
+                lo, size = (d, p) if q <= p else (d + q - p, q)
+                for e in range(lo, d + q):
+                    num *= comb(c + e, size)
+                    den *= comb(e, size)
+        runs.append((j0, q, y))
+        j0 += q
     return exact_quotient(num, den, "Weyl product")
 
 

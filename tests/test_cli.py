@@ -39,10 +39,21 @@ class TestTable:
     def test_out_into_missing_directory_is_one_line_error(self, tmp_path):
         # main turns any exception that is not a usage error into one Error:
         # line and exit 1, so invoke sees no raw exception from the command.
+        # The line names the path given, not the temp file beside it.
         code, out, err = invoke(*TABLE, "--out", str(tmp_path / "missing" / "table.csv"))
         assert (code, out) == (1, "")
         assert err.startswith("Error: ") and err.count("\n") == 1
+        assert os.path.join("missing", "table.csv'") in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_stale_temp_file_is_named_and_kept(self, tmp_path):
+        target = tmp_path / "table.csv"
+        stale = tmp_path / f"table.csv.{os.getpid()}.tmp"
+        stale.write_text("left by a killed run\n")
+        code, out, err = invoke(*TABLE, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("Error: ") and f"{stale.name}'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name]
 
     def test_out_to_existing_directory_is_usage_error(self, tmp_path):
         code, out, err = invoke(*TABLE, "--out", str(tmp_path))
@@ -154,6 +165,21 @@ def test_interrupt_prints_aborted_without_traceback(monkeypatch):
 
     monkeypatch.setattr(main.commands["length"], "callback", interrupted)
     assert invoke("length", "--m", "3", "--t", "3") == (1, "", "\nAborted!\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no str(int) digit limit")
+def test_int_digit_limit_is_put_back():
+    # main lifts the limit for its own run only, whether the command
+    # succeeds (a 4327-digit length) or exits with a usage error. The test
+    # starts from the default, whatever limit an earlier test left.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for args, code in ((("length", "--m", "3600", "--t", "3600"), 0), (("length", "--m", "2", "--t", "1"), 2)):
+            assert invoke(*args)[0] == code
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_other_failure_is_one_error_line(monkeypatch):

@@ -13,6 +13,11 @@ def compositions(n):
     return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
 
 
+def run_weight(lengths, gap):
+    """The dominant weight with runs of these lengths, values 500, 500 - gap, ..."""
+    return tuple(v for i, k in enumerate(lengths) for v in [500 - gap * i] * k)
+
+
 # Run lengths: long runs next to short ones in every order, and every
 # composition of a short weight. Each becomes a weight twice, once with unit
 # gaps between run values and once with large gaps, cut at length 30.
@@ -20,10 +25,15 @@ RUN_LENGTHS = [
     *(lengths for r in range(1, 5) for lengths in product((1, 2, 3, 20), repeat=r)),
     *(lengths for n in range(1, 9) for lengths in compositions(n)),
 ]
-RUN_WEIGHTS = [
-    tuple(v for i, k in enumerate(lengths) for v in [500 - gap * i] * k)[:30]
+RUN_WEIGHTS = [run_weight(lengths, gap)[:30] for gap in (1, 997) for lengths in RUN_LENGTHS]
+
+# The run shapes of the decomposition's weights (-2, ..., -2, a, b), at the
+# lengths m the benchmark reaches and RUN_WEIGHTS cuts away.
+LONG_WEIGHTS = [
+    run_weight(lengths, gap)
+    for m in (30, 60, 200)
+    for lengths in ((m - 2, 1, 1), (m - 2, 2))
     for gap in (1, 997)
-    for lengths in RUN_LENGTHS
 ]
 
 
@@ -56,8 +66,8 @@ class TestWeylDim:
             weyl_dim((1, 0), 3)
 
     def test_matches_plain_product(self):
-        assert len(RUN_WEIGHTS) == 1190
-        for w in RUN_WEIGHTS:
+        assert (len(RUN_WEIGHTS), len(LONG_WEIGHTS)) == (1190, 12)
+        for w in RUN_WEIGHTS + LONG_WEIGHTS:
             assert weyl_dim(w, len(w)) == plain_weyl_product(w)
 
     def test_rejects_non_dominant(self):
