@@ -212,8 +212,8 @@ def decompose(m: int, t: int, as_json: bool) -> int | None:
             "summands": [
                 {
                     "epsilon": s.epsilon,
-                    "lambda": list(s.gl2_weight),
-                    "lambda_s": list(s.glm_weight),
+                    "lambda": s.gl2_weight,
+                    "lambda_s": s.glm_weight,
                     "dim": str(s.dim),
                 }
                 for s in summands

@@ -33,9 +33,10 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()):
         data = _integers(parts)
-        while data and data[-1] == 0:
-            data = data[:-1]
-        return super().__new__(cls, data)
+        end = len(data)
+        while end and data[end - 1] == 0:
+            end -= 1
+        return super().__new__(cls, data[:end])
 
     def __init__(self, parts: Iterable[int] = ()):
         if not all(map(operator.ge, self, self[1:])):

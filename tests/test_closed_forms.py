@@ -37,11 +37,6 @@ class TestBinom:
         assert binom(7, 0) == 1
         assert binom(0, 0) == 1
 
-    def test_vanishing_convention(self):
-        assert binom(3, 4) == 0
-        assert binom(3, -1) == 0
-        assert binom(-2, 1) == 0
-
     def test_matches_comb_in_range(self):
         for n in range(-5, 31):
             for k in range(-5, 36):
@@ -100,54 +95,59 @@ class TestIdentity:
         assert identity_lhs(4, 4) == 0
         assert identity_rhs(4, 4) == 0
 
-    def test_rejects_a_above_b(self):
-        with pytest.raises(ValueError):
-            identity_lhs(3, 2)
-        with pytest.raises(ValueError):
-            identity_rhs(3, 2)
-
 
 # Each function that checks its integer parameters with ``check_integer``:
-# valid arguments, and the least value of each checked one.
+# valid arguments, the least value of each checked one, and the largest
+# value of each that has one.
 CHECKED = [
-    (layer_length_closed, dict(m=4, t=2), dict(m=3, t=1)),
-    (cumulative_length, dict(m=4, t=2), dict(m=3, t=1)),
-    (layer_summands, dict(m=4, t=2), dict(m=3, t=1)),
-    (cumulative_length_via_decomposition, dict(m=4, t=2), dict(m=3, t=1)),
-    (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0)),
-    (asymptotic_multiplicity, dict(m=4), dict(m=3)),
-    (catalan, dict(m=4), dict(m=1)),
-    (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3)),
-    (contributing_weights, dict(z=2, m=4), dict(z=0, m=3)),
-    (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, minor_size=1, t=1)),
-    (identity_lhs, dict(a=1, b=3), dict(a=0, b=1)),
-    (identity_rhs, dict(a=1, b=3), dict(a=0, b=1)),
-    (weyl_dim, dict(weight=(2, 1, 0), n=3), dict(n=1)),
-    (schur_dim, dict(shape=(2, 1), n=3), dict(n=1)),
-    (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1)),
-    (nonvanishing_indices, dict(n=2, m=5), dict(n=2, m=3)),
-    (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0)),
-    (verify_zset, dict(max_t=2), dict(max_t=1)),
-    (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1)),
-    (verify_identities, dict(max_b=2), dict(max_b=0)),
-    (verify_catalan, dict(max_m=4), dict(max_m=3)),
-    (run, dict(suite="zset", max_m=3, max_t=1, max_b=0), dict(max_m=3, max_t=1, max_b=0)),
+    (layer_length_closed, dict(m=4, t=2), dict(m=3, t=1), {}),
+    (cumulative_length, dict(m=4, t=2), dict(m=3, t=1), {}),
+    (layer_summands, dict(m=4, t=2), dict(m=3, t=1), {}),
+    (cumulative_length_via_decomposition, dict(m=4, t=2), dict(m=3, t=1), {}),
+    (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0), dict(j=8)),
+    (asymptotic_multiplicity, dict(m=4), dict(m=3), {}),
+    (catalan, dict(m=4), dict(m=1), {}),
+    (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3), {}),
+    (contributing_weights, dict(z=2, m=4), dict(z=0, m=3), {}),
+    (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, minor_size=1, t=1), dict(minor_size=2)),
+    (identity_lhs, dict(a=1, b=3), dict(a=0, b=1), {}),
+    (identity_rhs, dict(a=1, b=3), dict(a=0, b=1), {}),
+    (weyl_dim, dict(weight=(2, 1, 0), n=3), dict(n=1), {}),
+    (schur_dim, dict(shape=(2, 1), n=3), dict(n=1), {}),
+    (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1), {}),
+    (nonvanishing_indices, dict(n=3, m=5), dict(n=2, m=4), {}),
+    (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0), dict(j=6)),
+    (verify_zset, dict(max_t=2), dict(max_t=1), dict(max_t=100)),
+    (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1), dict(max_m=200, max_t=100)),
+    (verify_identities, dict(max_b=2), dict(max_b=0), dict(max_b=400)),
+    (verify_catalan, dict(max_m=4), dict(max_m=3), dict(max_m=200)),
+    (
+        run,
+        dict(suite="zset", max_m=3, max_t=1, max_b=0),
+        dict(max_m=3, max_t=1, max_b=0),
+        dict(max_m=200, max_t=100, max_b=400),
+    ),
 ]
 CHECKED_ARGUMENTS = [
-    (fn, args, name, least) for fn, args, lows in CHECKED for name, least in lows.items()
+    (fn, args, name, least, highs.get(name))
+    for fn, args, lows, highs in CHECKED
+    for name, least in lows.items()
 ]
 
 
 @pytest.mark.parametrize(
-    "fn, args, name, least",
+    "fn, args, name, least, most",
     CHECKED_ARGUMENTS,
-    ids=[f"{fn.__qualname__}-{name}" for fn, _, name, _ in CHECKED_ARGUMENTS],
+    ids=[f"{fn.__qualname__}-{name}" for fn, _, name, _, _ in CHECKED_ARGUMENTS],
 )
-def test_integer_arguments_are_checked(fn, args, name, least):
+def test_integer_arguments_are_checked(fn, args, name, least, most):
     fn(**args)
     for bad in (True, False, 0.0, 3.0, 0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(TypeError):
             fn(**{**args, name: bad})
-    for low in (least - 1, least - 2**70):
-        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, "):
-            fn(**{**args, name: low})
+    rules = [(f"least {least}", least - 1), (f"least {least}", least - 2**70)]
+    if most is not None:
+        rules += [(f"most {most}", most + 1), (f"most {most}", most + 2**70)]
+    for rule, value in rules:
+        with pytest.raises(ValueError, match=f"^{name} must be at {rule}, "):
+            fn(**{**args, name: value})

@@ -25,10 +25,6 @@ class TestFiltrationIndices:
                 assert total + (t - z[0]) * l + 1 <= d * t
                 assert d * t <= total + (t - z[0]) * (l + 1)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            filtration_indices(2, 3, 3)
-
 
 class TestContributingWeights:
     def test_z2_m4(self):
@@ -40,9 +36,6 @@ class TestContributingWeights:
     def test_z1_m3(self):
         assert contributing_weights(1, 3) == [DominantWeight([-3, -3])]
 
-    def test_z0_empty(self):
-        assert contributing_weights(0, 5) == []
-
 
 class TestPairedWeight:
     def test_formula(self):
@@ -53,9 +46,6 @@ class TestPairedWeight:
                     lam = (2 - t - m + eps, 2 - t - m)
                     expected = (-2,) * (m - 2) + (-t + eps, -t)
                     assert paired_weight(lam, m) == expected
-
-    def test_constant_weight(self):
-        assert paired_weight((-3, -3), 3) == (-2, -2, -2)
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError):
