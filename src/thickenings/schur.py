@@ -27,18 +27,16 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     x starting at i0 and a later run of q entries of value y starting at j0,
     write c = x - y and d = j0 - i0; the block of their pairs contributes
 
-        prod_{e=d}^{d+q-1} C(c + e, p) / C(e, p)          (a factor per later entry)
-      = prod_{e=d+q-p}^{d+q-1} C(c + e, q) / C(e, q)      (a factor per earlier entry)
+        prod_{e=d}^{d+q-1} C(c + e, p) / C(e, p),
 
-    and one loop takes the form with fewer factors, from its own start to the
-    shared end d + q - 1. When the later run has length 1, its one factor
-    is taken without the loop. A dominant weight keeps equal entries
-    contiguous, so a run whose next entry differs has length 1, found with
-    one comparison, and a longer run ends where the C-level ``tuple.count``
-    of its first entry says. The cost is one comparison per one-entry run
-    and one ``count`` (a scan of all n entries) per longer run, plus about
-    (number of runs)^2 x (shorter run length) ``math.comb`` calls, in place
-    of the n(n-1)/2 factors of the plain product.
+    one factor per later entry, taken without a loop when q = 1. A dominant
+    weight keeps equal entries contiguous, so a run whose next entry
+    differs has length 1, found with one comparison, and a longer run ends
+    where the C-level ``tuple.count`` of its first entry says. The cost is
+    one comparison per one-entry run and one ``count`` (a scan of all n
+    entries) per longer run, plus one ``math.comb`` pair per (earlier run,
+    later entry) in place of the n(n-1)/2 factors of the plain product; so
+    a zero-padded one-row shape (k, 0, ..., 0) takes n - 1 pairs.
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
@@ -62,10 +60,9 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
                 num *= comb(c + d, p)
                 den *= comb(d, p)
             else:
-                lo, size = (d, p) if q <= p else (d + q - p, q)
-                for e in range(lo, d + q):
-                    num *= comb(c + e, size)
-                    den *= comb(e, size)
+                for e in range(d, d + q):
+                    num *= comb(c + e, p)
+                    den *= comb(e, p)
         runs.append((j0, q, y))
         j0 += q
     return exact_quotient(num, den, "Weyl product")

@@ -204,6 +204,12 @@ def test_int_digit_limit_is_put_back():
         sys.set_int_max_str_digits(before)
 
 
+def test_runs_without_a_digit_limit(monkeypatch):
+    # Pythons before 3.10.7 have no str(int) digit limit to lift.
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert invoke("length", "--m", "3", "--t", "3") == (0, "finite 10\n", "")
+
+
 def test_other_failure_is_one_error_line(monkeypatch):
     monkeypatch.setattr(main.commands["length"], "callback", lambda **options: exact_quotient(1, 2, "the length"))
     assert invoke("length", "--m", "3", "--t", "3") == (1, "", "Error: the length is not an integer\n")

@@ -71,6 +71,12 @@ def test_cli_output_matches_golden(name, args, exit_code):
     assert bool(stderr) == (exit_code == 2)
 
 
+def test_every_golden_file_is_a_case():
+    # The capture below rewrites only the CASES files, so a renamed or
+    # deleted row would otherwise leave a stale file that no test reads.
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(name for name, _, _ in CASES)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, args, exit_code in CASES:
