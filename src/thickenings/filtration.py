@@ -20,6 +20,7 @@ check rather than assume.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
@@ -42,7 +43,7 @@ class LayerSummand(NamedTuple):
     dim: int
 
 
-def filtration_indices(n: int, minor_size: int, t: int) -> set[tuple[tuple[int, ...], int]]:
+def filtration_indices(n: int, minor_size: int, t: int) -> frozenset[tuple[tuple[int, ...], int]]:
     """All filtration indices (z, l) for the t-th power of the size-``minor_size`` minor ideal.
 
     Exhausts weakly decreasing n-tuples z with entries in 0..t - 1, zeros
@@ -51,8 +52,15 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[tuple[tuple[int, 
         z_1 = ... = z_{l+1} <= t - 1
         |z| + (t - z_1) * l + 1  <=  minor_size * t  <=  |z| + (t - z_1) * (l + 1)
 
-    The part bound makes the search space finite: the search examines
-    exactly C(t - 1 + n, n) * minor_size candidates (z, l).
+    The part bound makes the search space finite: the first call for each
+    (n, minor_size, t) in a process examines exactly
+    C(t - 1 + n, n) * minor_size candidates (z, l). The set depends only on
+    those three integers, so it is stored, and every later call with them
+    returns the same ``frozenset``, which no caller can change. The store is
+    never emptied. It holds about 160 B per kept index (tracemalloc): for
+    n = minor_size = 2, about 0.44 MB for all t <= 72 and 7.2 MB for all
+    t <= 300. The arguments are checked on every call before the store is
+    read, so t = True is refused even after t = 1 is stored.
 
     For n = minor_size = 2 the indices are exactly ((z, z), 1), 0 <= z <= t - 1.
     Level l = 0: the upper bound reads 2t <= t + z_2, so z_2 >= t, impossible.
@@ -61,6 +69,13 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[tuple[tuple[int, 
     check_integer("n", n, 1)
     check_integer("minor_size", minor_size, 1, n)
     check_integer("t", t, 1)
+    return _search_indices(n, minor_size, t)
+
+
+# Unbounded: an LRU bound would store and evict on every call of an
+# ascending sweep over more values of t than its size.
+@cache
+def _search_indices(n: int, minor_size: int, t: int) -> frozenset[tuple[tuple[int, ...], int]]:
     found = set()
     for z in combinations_with_replacement(range(t - 1, -1, -1), n):
         total = sum(z)
@@ -71,7 +86,7 @@ def filtration_indices(n: int, minor_size: int, t: int) -> set[tuple[tuple[int, 
             upper = total + (t - z[0]) * (l + 1)
             if lower <= minor_size * t <= upper:
                 found.add((z, l))
-    return found
+    return frozenset(found)
 
 
 def contributing_weights(z: int, m: int) -> list[DominantWeight]:
@@ -134,7 +149,9 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     Enumerates the filtration indices, expands each factor into its
     contributing weights, and adds exact tensor dimensions. Defensively
     re-checks that every index has the ((z, z), 1) shape the weight
-    machinery is specialized to.
+    machinery is specialized to. The index set comes from the search in
+    ``filtration_indices``, run on the first call for each t in a process
+    and read from its store after that.
     """
     check_integer("m", m, 3)
     check_integer("t", t, 1)

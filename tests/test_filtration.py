@@ -25,6 +25,18 @@ class TestFiltrationIndices:
                 assert total + (t - z[0]) * l + 1 <= d * t
                 assert d * t <= total + (t - z[0]) * (l + 1)
 
+    def test_repeated_call_returns_the_stored_set(self):
+        first = filtration_indices(2, 2, 5)
+        assert type(first) is frozenset
+        assert filtration_indices(2, 2, 5) is first
+
+    def test_bool_refused_after_its_int_is_stored(self):
+        # True hashes and compares like 1, so a store read before the
+        # argument checks would hand back the t = 1 set.
+        assert filtration_indices(2, 2, 1) is filtration_indices(2, 2, 1)
+        with pytest.raises(TypeError):
+            filtration_indices(2, 2, True)
+
 
 class TestContributingWeights:
     def test_z2_m4(self):
