@@ -18,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from . import verify as verify_suites
@@ -27,7 +29,12 @@ from .filtration import layer_summands
 
 
 _HELP = "Show this message and exit."
-_PIECE = 1 << 16  # characters per stdout write of ``table``
+# ``table``'s head, row template, separator and tail per format; the JSON
+# is laid out as ``json.dumps(rows, indent=2)`` prints a list of row objects.
+_TABLE = {
+    "csv": ("m,t,layer,cumulative\n", "{},{},{},{}\n", "", ""),
+    "json": ("[\n", '  {{\n    "m": {},\n    "t": {},\n    "layer": "{}",\n    "cumulative": "{}"\n  }}', ",\n", "\n]\n"),
+}
 
 
 class _Main:
@@ -99,7 +106,8 @@ class _Main:
             sys.exit(status)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, pieces: Iterable[str]) -> None:
+    # Writes the pieces as they come. If one raises, ``path`` is left as it was.
     # Through a symlink, the temp file goes beside the link's target and
     # replaces the target, as a shell redirect writes through the link.
     # The kernel masks os.open's 0o666 as it does a shell redirect's mode.
@@ -115,7 +123,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -165,30 +173,19 @@ def table(m_min: int, m_max: int, t_min: int, t_max: int, fmt: str, out: str | N
         raise ValueError("empty range")
     if out is not None and os.path.isdir(os.path.realpath(out)):
         raise ValueError(f"--out {out!r} is a directory")
-    rows = []
-    for m in range(m_min, m_max + 1):
-        for t in range(t_min, t_max + 1):
-            rows.append(
-                {
-                    "m": m,
-                    "t": t,
-                    "layer": str(layer_length_closed(m, t)),
-                    "cumulative": str(cumulative_length(m, t)),
-                }
-            )
-    if fmt == "csv":
-        lines = ["m,t,layer,cumulative"]
-        lines.extend(f"{r['m']},{r['t']},{r['layer']},{r['cumulative']}" for r in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+    head, row, sep, tail = _TABLE[fmt]
+    grid = ((m, t) for m in range(m_min, m_max + 1) for t in range(t_min, t_max + 1))
+    items = (row.format(m, t, layer_length_closed(m, t), cumulative_length(m, t)) for m, t in grid)
+    # The first row is made before anything is written, so a bad m or t is
+    # a usage error with no output and no temp file, and it takes no separator.
+    pieces = chain([head, next(items)], (sep + item for item in items), [tail])
     if out is not None:
-        _write_atomic(out, text)
+        _write_atomic(out, pieces)
     else:
-        # In pieces: unbuffered, a closing reader cuts one write short without
-        # an error, and only the next write raises ``BrokenPipeError``.
-        for start in range(0, len(text), _PIECE):
-            sys.stdout.write(text[start : start + _PIECE])
+        # 1024 rows per write: unbuffered, a closing reader cuts one write
+        # short without an error, and only the next write raises ``BrokenPipeError``.
+        while batch := list(islice(pieces, 1024)):
+            sys.stdout.write("".join(batch))
 
 
 @main.command(

@@ -61,10 +61,11 @@ MUTANTS = [
     ("cli.py", "target = os.path.realpath(path)", "target = path", "table --out: a symlink replaced, not its target"),
     (
         "cli.py",
-        "        for start in range(0, len(text), _PIECE):\n            sys.stdout.write(text[start : start + _PIECE])\n",
-        "        sys.stdout.write(text)\n",
+        "        while batch := list(islice(pieces, 1024)):\n            sys.stdout.write(\"\".join(batch))\n",
+        "        sys.stdout.write(\"\".join(pieces))\n",
         "table: stdout in one write, so an unbuffered closed pipe exits 0",
     ),
+    ("cli.py", "chain([head, next(items)],", "chain([head],", "table: the first JSON row gets a separator"),
     (
         "cli.py",
         "        except BrokenPipeError:\n"

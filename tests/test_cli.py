@@ -1,6 +1,9 @@
+import contextlib
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from test_golden import invoke
@@ -72,6 +75,49 @@ class TestTable:
         assert invoke(*TABLE, "--out", str(target)) == (1, "", "Error: [Errno 28] No space left on device\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_failure_mid_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.csv"
+        target.write_text("old\n")
+
+        def fails_at_five(m, t):
+            if t == 5:
+                raise ArithmeticError("no cumulative length at t = 5")
+            return cumulative_length(m, t)
+
+        monkeypatch.setattr("thickenings.cli.cumulative_length", fails_at_five)
+        code, out, err = invoke(*TABLE[:8], "9", "--out", str(target))
+        assert (code, out, err) == (1, "", "Error: no cumulative length at t = 5\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_json_parses_to_the_closed_forms(self):
+        code, out, _ = invoke("table", "--m-min", "3", "--m-max", "5", "--t-min", "1", "--t-max", "40", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"m": m, "t": t, "layer": str(layer_length_closed(m, t)), "cumulative": str(cumulative_length(m, t))}
+            for m in range(3, 6)
+            for t in range(1, 41)
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_rows(self, fmt, monkeypatch):
+        # 20 000 rows take several MB as text; streamed, the peak is one
+        # write's worth of rows. tracemalloc sees this run alone, where a
+        # child's ru_maxrss starts from the peak of the pytest that forked it.
+        # Powers with a few more digits than the lengths stand in for the
+        # closed forms, whose traced arithmetic would take most of a second.
+        monkeypatch.setattr("thickenings.cli.layer_length_closed", lambda m, t: t**5)
+        monkeypatch.setattr("thickenings.cli.cumulative_length", lambda m, t: t**6)
+        args = ["table", "--m-min", "3", "--m-max", "3", "--t-min", "1", "--t-max", "20000", "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                main.main(args=args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empty_out_is_usage_error(self, tmp_path, monkeypatch):
         # '' resolves to the working directory, as _write_atomic would read it.
@@ -229,8 +275,8 @@ def test_closed_pipe_exits_one_silently(args, head):
     # to devnull keeps the flush at exit from failing again. ``invoke`` has
     # no real stdout file descriptor, so each runs in a subprocess, buffered
     # and under PYTHONUNBUFFERED. Unbuffered, a write cut short by the reader
-    # is dropped silently, so only the table's next 64 KiB piece raises; a
-    # reader who closes during the last piece can still go unseen (exit 0).
+    # is dropped silently, so only the table's next write of 1024 rows raises;
+    # a reader who closes during the last write can still go unseen (exit 0).
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     cmd = [sys.executable, "-m", "thickenings.cli", *args]
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
