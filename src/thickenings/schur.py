@@ -85,10 +85,13 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     """Count semistandard tableaux of the given shape with entries in 1..n.
 
     Rows weakly increase, columns strictly increase. Complete backtracking
-    enumeration, one leaf per tableau; returns 0 when the shape has more
-    than n rows and 1 for the empty shape. It visits exactly
-    ``schur_dim(shape, n)`` leaves, so its cost is known before it runs and
-    grows exponentially with the number of boxes; callers keep shapes small.
+    enumeration over the cells in row-major order, each cell's value bounded
+    below by its left neighbour and by one more than the cell above; returns
+    0 when the shape has more than n rows and 1 for the empty shape. The
+    last cell adds one tableau per value it may take, so the walk makes one
+    call per tableau prefix with every cell but the last filled: at most
+    ``schur_dim(shape, n)`` calls, known before it runs, and still
+    exponential in the number of boxes; callers keep shapes small.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)
@@ -96,25 +99,28 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
         return 0
     if not p:
         return 1
-    rows = len(p)
-    grid = [[0] * p[r] for r in range(rows)]
+    # For cell k, the index of its left neighbour and of the cell above, or
+    # -1 for none; filled[-1] stays 0, the value of a missing neighbour.
+    cells = [(r, c) for r, length in enumerate(p) for c in range(length)]
+    left = [k - 1 if c else -1 for k, (r, c) in enumerate(cells)]
+    above = [k - p[r - 1] if r else -1 for k, (r, c) in enumerate(cells)]
+    last = len(cells) - 1
+    filled = [0] * (len(cells) + 1)
 
-    def fill(r: int, c: int) -> int:
-        if r == rows:
-            return 1
-        nr, nc = (r, c + 1) if c + 1 < p[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
+    def fill(k: int) -> int:
+        lo = filled[left[k]]
+        up = filled[above[k]] + 1
+        if up > lo:
+            lo = up
+        if k == last:
+            return n + 1 - lo  # lo <= n + 1, as every filled value is <= n
         total = 0
         for v in range(lo, n + 1):
-            grid[r][c] = v
-            total += fill(nr, nc)
+            filled[k] = v
+            total += fill(k + 1)
         return total
 
-    return fill(0, 0)
+    return fill(0)
 
 
 def tensor_pair_dim(

@@ -35,6 +35,9 @@ MUTANTS = [
     ("schur.py", "num *= comb(c + e, p)", "num *= comb(c + e, q)", "weyl_dim: numerator uses the later run's length"),
     ("schur.py", "if j0 + 1 < n and w[j0 + 1] == y", "if w[j0 + 1] == y", "weyl_dim: run test reads past the last entry"),
     ("schur.py", "w[j0 + 1] == y else 1", "w[j0 + 1] != y else 1", "weyl_dim: run test inverted"),
+    ("schur.py", "up = filled[above[k]] + 1", "up = filled[above[k]]", "ssyt_count: columns only weakly increase"),
+    ("schur.py", "return n + 1 - lo", "return n + 2 - lo", "ssyt_count: the last cell counts one value too many"),
+    ("schur.py", "k - p[r - 1] if r else -1", "k - p[r] if r else -1", "ssyt_count: the cell above read from the wrong row"),
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
     ("closed_forms.py", "m + 1, f\"cumulative length", "m + 2, f\"cumulative length", "cumulative_length: divisor m + 2"),
     ("closed_forms.py", "    if r:\n", "    if False:\n", "exact_quotient: a remainder passes silently"),

@@ -52,6 +52,23 @@ def plain_weyl_product(w):
     return num // den
 
 
+# Every partition of at most 5 boxes, the empty one included.
+SMALL_SHAPES = [c for b in range(6) for c in compositions(b) if list(c) == sorted(c, reverse=True)]
+
+
+def definition_ssyt_count(shape, n):
+    """Every filling with entries in 1..n, kept when rows weakly and columns strictly increase."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    count = 0
+    for values in product(range(1, n + 1), repeat=len(cells)):
+        filled = dict(zip(cells, values))
+        count += all(
+            (c == 0 or filled[r, c - 1] <= v) and (r == 0 or filled[r - 1, c] < v)
+            for (r, c), v in filled.items()
+        )
+    return count
+
+
 class TestWeylDim:
     def test_adjoint_of_gl3(self):
         # frozen from the tableau-counting oracle
@@ -92,6 +109,12 @@ class TestSsytCount:
 
     def test_hook_two_letters(self):
         assert ssyt_count(Partition([2, 1]), 2) == 2
+
+    def test_matches_the_definition(self):
+        assert len(SMALL_SHAPES) == 19
+        for shape in SMALL_SHAPES:
+            for n in range(1, 5):
+                assert ssyt_count(shape, n) == definition_ssyt_count(shape, n), (shape, n)
 
     def test_empty_shape(self):
         assert ssyt_count(Partition(), 3) == 1
