@@ -16,21 +16,13 @@ def nonvanishing_indices(n: int, m: int) -> set[int]:
 
     These are (n - r)(m - n) + 1 for 0 <= r < n; at n = 2 that is
     {m - 1, 2m - 3}. Requires 2 <= n < m, since equal sizes collapse the
-    indices and the maximal-minor picture degenerates. Through
-    :func:`dual_index` they give the live indices {3, m + 1} of
+    indices and the maximal-minor picture degenerates. At n = 2 their
+    graded-duality partners 2m - j are the live indices {3, m + 1} of
     :func:`local_cohomology_length`, which the tests check it against.
     """
     check_integer("n", n, 2)
     check_integer("m", m, n + 1)
     return {(n - r) * (m - n) + 1 for r in range(n)}
-
-
-def dual_index(m: int, n: int, j: int) -> int:
-    """Graded-duality partner index m*n - j; involutive on 0 <= j <= m*n."""
-    check_integer("m", m, 1)
-    check_integer("n", n, 1)
-    check_integer("j", j, 0, m * n)
-    return m * n - j
 
 
 def local_cohomology_length(m: int, t: int, j: int) -> int | None:

@@ -88,10 +88,13 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     enumeration over the cells in row-major order, each cell's value bounded
     below by its left neighbour and by one more than the cell above; returns
     0 when the shape has more than n rows and 1 for the empty shape. The
-    last cell adds one tableau per value it may take, so the walk makes one
-    call per tableau prefix with every cell but the last filled: at most
-    ``schur_dim(shape, n)`` calls, known before it runs, and still
-    exponential in the number of boxes; callers keep shapes small.
+    last cell adds one tableau per value it may take, but the walk makes
+    one call for every valid filling of every proper prefix of the cell
+    order, dead ends included, so ``schur_dim(shape, n)`` does not bound
+    the calls: (3, 3, 3) on C^3 takes 69 calls for 1 tableau. The cost is
+    exponential in the number of boxes, and the walk recurses one frame per
+    box, so a shape near the recursion limit (1000 boxes by default) raises
+    ``RecursionError``; callers keep shapes small.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)

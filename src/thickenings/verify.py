@@ -28,7 +28,7 @@ from .schur import schur_dim, ssyt_count, weyl_dim
 
 SUITE_NAMES = ("schur", "zset", "decomposition", "identities", "catalan")
 
-# Bound of ``run`` -> (least, largest, the suites that read it). The largest
+# Keyword of ``run`` -> (least, largest, the suites that read it). The largest
 # values come from a budget of one minute for ``run("all")`` with every bound
 # at its largest, on one core: about 18 s for decomposition at (max_m, max_t)
 # = (200, 100), 12 s for identities at max_b = 400, and well under a second
@@ -180,21 +180,19 @@ def verify_catalan(max_m: int = 20) -> SuiteResult:
     return res
 
 
-def run(
-    suite: str,
-    max_m: int | None = None,
-    max_t: int | None = None,
-    max_b: int | None = None,
-) -> list[SuiteResult]:
+def run(suite: str, **bounds: int | None) -> list[SuiteResult]:
     """Run one named suite, or all of them, with optional bound overrides.
 
-    A bound left as None keeps the suite's default; every bound given is
-    checked first, read or not. Each suite is looked up as the attribute
-    ``verify_<name>`` at call time, so a wrapper installed over it runs.
+    Each keyword names a bound in ``BOUNDS``. A bound left as None keeps the
+    suite's default; every bound given is checked first, read or not. Each
+    suite is looked up as the attribute ``verify_<name>`` at call time, so a
+    wrapper installed over it runs.
     """
+    if unknown := sorted(bounds.keys() - BOUNDS):
+        raise TypeError(f"run() got unknown bounds {unknown}; the bounds are {list(BOUNDS)}")
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
-    given = {b: v for b, v in dict(max_m=max_m, max_t=max_t, max_b=max_b).items() if v is not None}
+    given = {b: v for b, v in bounds.items() if v is not None}
     for name, value in given.items():
         _check_bound(name, value)
     return [

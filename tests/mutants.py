@@ -54,6 +54,7 @@ MUTANTS = [
     ("verify.py", "return self.cases > 0 and not self.failures", "return not self.failures", "SuiteResult.passed: a zero-case suite passes"),
     ("verify.py", "self.cases += 1", "self.cases += 0", "SuiteResult.check: cases not counted"),
     ("verify.py", "if suite != \"all\" and suite not in SUITE_NAMES:", "if False:", "run: an unknown suite accepted"),
+    ("verify.py", "if unknown := sorted(bounds.keys() - BOUNDS):", "if unknown := []:", "run: an unknown bound name reaches BOUNDS as a KeyError"),
     ("verify.py", "    for name, value in given.items():\n        _check_bound(name, value)\n", "", "run: a bound no suite reads goes unchecked"),
     ("verify.py", "\"max_m\": (3, 200,", "\"max_m\": (3, 199,", "BOUNDS: largest max_m one lower"),
     ("verify.py", "\"max_b\": (0, 400,", "\"max_b\": (0, 401,", "BOUNDS: largest max_b one higher"),

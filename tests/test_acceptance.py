@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from thickenings import verify
 from thickenings.closed_forms import asymptotic_multiplicity, cumulative_length
-from thickenings.cohomology import dual_index, local_cohomology_length, nonvanishing_indices
+from thickenings.cohomology import local_cohomology_length, nonvanishing_indices
 
 
 def test_criterion_1_decomposition_reproduces_closed_form():
@@ -50,12 +50,12 @@ def test_criterion_6_telescoping():
 
 
 def test_criterion_7_vanishing_structure():
-    # graded duality: the partners of the nonzero H^j_I indices are the live
-    # indices, the top one is the only infinite length, and at t = 1 (R/I is
-    # Cohen-Macaulay) only the top one is nonzero; so H^j vanishes away from
-    # j = 3 and j = m + 1
+    # graded duality: the partners 2m - i of the nonzero H^i_I indices are
+    # the live indices, the top one is the only infinite length, and at t = 1
+    # (R/I is Cohen-Macaulay) only the top one is nonzero; so H^j vanishes
+    # away from j = 3 and j = m + 1
     for m in range(3, 9):
-        live = {dual_index(m, 2, i) for i in nonvanishing_indices(2, m)}
+        live = {2 * m - i for i in nonvanishing_indices(2, m)}
         for t in range(1, 11):
             lengths = {j: local_cohomology_length(m, t, j) for j in range(2 * m + 1)}
             nonzero = {j for j, v in lengths.items() if v != 0}

@@ -142,6 +142,10 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify.run("nope")
 
+    def test_run_unknown_bound(self):
+        with pytest.raises(TypeError, match="max_x"):
+            verify.run("zset", max_x=1)
+
     def test_bounds_at_their_caps_are_accepted(self):
         # catalan reads only --max-m, so every cap is accepted in well under a
         # second. CI's decomposition step runs --max-m 200 --max-t 24.

@@ -13,7 +13,7 @@ from thickenings.closed_forms import (
     identity_rhs,
     layer_length_closed,
 )
-from thickenings.cohomology import dual_index, local_cohomology_length, nonvanishing_indices
+from thickenings.cohomology import local_cohomology_length, nonvanishing_indices
 from thickenings.filtration import (
     contributing_weights,
     cumulative_length_via_decomposition,
@@ -116,7 +116,6 @@ CHECKED = [
     (schur_dim, dict(shape=(2, 1), n=3), dict(n=1), {}),
     (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1), {}),
     (nonvanishing_indices, dict(n=3, m=5), dict(n=2, m=4), {}),
-    (dual_index, dict(m=3, n=2, j=3), dict(m=1, n=1, j=0), dict(j=6)),
     (verify_zset, dict(max_t=2), dict(max_t=1), dict(max_t=100)),
     (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1), dict(max_m=200, max_t=100)),
     (verify_identities, dict(max_b=2), dict(max_b=0), dict(max_b=400)),
