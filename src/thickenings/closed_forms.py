@@ -56,7 +56,13 @@ def layer_length_closed(m: int, t: int) -> int:
 
 
 def cumulative_length(m: int, t: int) -> int:
-    """Length of H^3_m(R/I^t): (1/(m+1)) * C(m+t-2, m) * C(m+t-1, m)."""
+    """Length of H^3_m(R/I^t): (1/(m+1)) * C(m+t-2, m) * C(m+t-1, m).
+
+    This is the Narayana number N(n, k) = C(n, k) * C(n, k-1) / n with
+    n = m+t-1 and k = m+1, the number of Dyck paths of semilength m+t-1 with
+    m+1 peaks (Stanley, Catalan Numbers, 2015): C(n, k) / n = C(n-1, k-1) / k,
+    and here C(n-1, k-1) = C(m+t-2, m) and C(n, k-1) = C(m+t-1, m).
+    """
     check_integer("m", m, 3)
     check_integer("t", t, 1)
     return exact_quotient(

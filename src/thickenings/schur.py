@@ -6,12 +6,15 @@ closed product formula (Fulton-Harris, Representation Theory, 24.1)
     dim S_lambda(C^n) = prod_{1 <= i < j <= n} (lambda_i - lambda_j + j - i) / (j - i)
 
 one block of equal entries at a time, while ``ssyt_count`` counts
-semistandard tableaux by plain backtracking, with no formula shortcuts,
-precisely so it can serve as an oracle for the product.
+semistandard tableaux as chains of horizontal strips, one entry value at a
+time, with no formula shortcuts, precisely so it can serve as an oracle for
+the product.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import product
 from math import comb
 from typing import Sequence
 
@@ -84,46 +87,36 @@ def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
 def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     """Count semistandard tableaux of the given shape with entries in 1..n.
 
-    Rows weakly increase, columns strictly increase. Complete backtracking
-    enumeration over the cells in row-major order, each cell's value bounded
-    below by its left neighbour and by one more than the cell above; returns
-    0 when the shape has more than n rows and 1 for the empty shape. The
-    last cell adds one tableau per value it may take, but the walk makes
-    one call for every valid filling of every proper prefix of the cell
-    order, dead ends included, so ``schur_dim(shape, n)`` does not bound
-    the calls: (3, 3, 3) on C^3 takes 69 calls for 1 tableau. The cost is
-    exponential in the number of boxes, and the walk recurses one frame per
-    box, so a shape near the recursion limit (1000 boxes by default) raises
-    ``RecursionError``; callers keep shapes small.
+    Rows weakly increase, columns strictly increase. A tableau is a chain of
+    shapes () = lambda^(0) <= ... <= lambda^(n) = lambda whose steps, the
+    boxes holding k, are horizontal strips (Stanley, EC2, 7.10; Fulton,
+    Young Tableaux, 1.1). For k = n down to 1 the count holds, per subshape
+    mu, the fillings of lambda/mu with entries above k, and removes the
+    strip of k's from each mu in every way: nu_i from mu_{i+1} to mu_i, and
+    nu keeps at most k - 1 rows for the entries below k (every mu at level k
+    has at most k rows, so the rest of nu is empty). The answer is the count
+    at the empty shape. That is n levels of at most prod(lambda_i + 1)
+    subshapes and their strips, polynomial in the box count for a fixed
+    number of rows, with no recursion. Returns 0 when the shape has more
+    than n rows and 1 for the empty shape.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)
     if len(p) > n:
         return 0
-    if not p:
-        return 1
-    # For cell k, the index of its left neighbour and of the cell above, or
-    # -1 for none; filled[-1] stays 0, the value of a missing neighbour.
-    cells = [(r, c) for r, length in enumerate(p) for c in range(length)]
-    left = [k - 1 if c else -1 for k, (r, c) in enumerate(cells)]
-    above = [k - p[r - 1] if r else -1 for k, (r, c) in enumerate(cells)]
-    last = len(cells) - 1
-    filled = [0] * (len(cells) + 1)
-
-    def fill(k: int) -> int:
-        lo = filled[left[k]]
-        up = filled[above[k]] + 1
-        if up > lo:
-            lo = up
-        if k == last:
-            return n + 1 - lo  # lo <= n + 1, as every filled value is <= n
-        total = 0
-        for v in range(lo, n + 1):
-            filled[k] = v
-            total += fill(k + 1)
-        return total
-
-    return fill(0)
+    # counts[mu]: the fillings of p/mu with entries above k. Each mu is padded
+    # to len(p) + 1 entries, so mu[i + 1] exists for every row i of p.
+    empty = (0,) * (len(p) + 1)
+    counts = {p + (0,): 1}
+    for k in range(n, 0, -1):
+        free = min(k - 1, len(p))  # the rows nu may keep
+        pad = empty[free:]
+        step: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for mu, c in counts.items():
+            for head in product(*[range(lo, hi + 1) for lo, hi in zip(mu[1:], mu[:free])]):
+                step[head + pad] += c
+        counts = step
+    return counts[empty]
 
 
 def tensor_pair_dim(

@@ -35,9 +35,9 @@ MUTANTS = [
     ("schur.py", "num *= comb(c + e, p)", "num *= comb(c + e, q)", "weyl_dim: numerator uses the later run's length"),
     ("schur.py", "if j0 + 1 < n and w[j0 + 1] == y", "if w[j0 + 1] == y", "weyl_dim: run test reads past the last entry"),
     ("schur.py", "w[j0 + 1] == y else 1", "w[j0 + 1] != y else 1", "weyl_dim: run test inverted"),
-    ("schur.py", "up = filled[above[k]] + 1", "up = filled[above[k]]", "ssyt_count: columns only weakly increase"),
-    ("schur.py", "return n + 1 - lo", "return n + 2 - lo", "ssyt_count: the last cell counts one value too many"),
-    ("schur.py", "k - p[r - 1] if r else -1", "k - p[r] if r else -1", "ssyt_count: the cell above read from the wrong row"),
+    ("schur.py", "range(lo, hi + 1)", "range(0, hi + 1)", "ssyt_count: a strip reaches below the next row, so columns only weakly increase"),
+    ("schur.py", "free = min(k - 1, len(p))", "free = min(k - 1, len(p) - 1)", "ssyt_count: the last row's boxes all hold n"),
+    ("schur.py", "for k in range(n, 0, -1):", "for k in range(n - 1, 0, -1):", "ssyt_count: entries only up to n - 1"),
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
     ("closed_forms.py", "m + 1, f\"cumulative length", "m + 2, f\"cumulative length", "cumulative_length: divisor m + 2"),
     ("closed_forms.py", "    if r:\n", "    if False:\n", "exact_quotient: a remainder passes silently"),
@@ -90,6 +90,13 @@ MUTANTS = [
 
 EQUIVALENT = [
     ("schur.py", "if q == 1:", "if False:", "the loop over one later entry multiplies the same factor; the branch only saves time"),
+    (
+        "schur.py",
+        "free = min(k - 1, len(p))",
+        "free = min(k, len(p))",
+        "a strip lowers the row count by at most one, so a nu of k rows never empties in the k - 1 levels left; the cap only prunes",
+    ),
+    ("schur.py", "return counts[empty]", "return sum(counts.values())", "level 1 keeps no row, so the empty shape is the only state left"),
 ]
 
 

@@ -66,6 +66,13 @@ class TestCumulativeLength:
             for t in range(1, 21):
                 assert cumulative_length(m, t + 1) > cumulative_length(m, t)
 
+    def test_is_a_narayana_number(self):
+        # N(n, k) = C(n, k) * C(n, k - 1) / n at n = m + t - 1, k = m + 1
+        for m in range(3, 41):
+            for t in range(1, 61):
+                n, k = m + t - 1, m + 1
+                assert n * cumulative_length(m, t) == math.comb(n, k) * math.comb(n, k - 1), (m, t)
+
 
 class TestAsymptoticMultiplicity:
     def test_values(self):

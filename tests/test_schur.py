@@ -122,6 +122,13 @@ class TestSsytCount:
     def test_more_rows_than_letters(self):
         assert ssyt_count(Partition([1, 1, 1]), 2) == 0
 
+    def test_long_row_needs_no_recursion(self):
+        # more boxes than Python's default recursion limit of 1000
+        assert ssyt_count(Partition([1100]), 1) == 1
+
+    def test_many_letters(self):
+        assert ssyt_count(Partition([3]), 3000) == schur_dim(Partition([3]), 3000)
+
 
 class TestTensorPairDim:
     def test_second_factor_trivial(self):
