@@ -233,14 +233,14 @@ def decompose(m: int, t: int, as_json: bool) -> int | None:
 
 
 def _bound_option(name: str):
-    least, most, readers = verify_suites.BOUNDS[name]
-    suites = " and ".join(readers) + " suite" + "s" * (len(readers) > 1)
-    text = f"Upper {name[-1]} bound, {least}..{most}, read by the {suites}."
+    least, most = verify_suites.BOUNDS[name]
+    defaults = ", ".join(f"{row[name]} for {suite}" for suite, row in verify_suites.SUITES.items() if name in row)
+    text = f"Upper {name[-1]} bound, {least}..{most} (default: {defaults})."
     return f"--{name.replace('_', '-')}", dict(type=int, help=text)
 
 
 @main.command(
-    ("--suite", dict(choices=[*verify_suites.SUITE_NAMES, "all"], required=True, help="Suite to run, or all of them.")),
+    ("--suite", dict(choices=[*verify_suites.SUITES, "all"], required=True, help="Suite to run, or all of them.")),
     *map(_bound_option, verify_suites.BOUNDS),
 )
 def verify(suite: str, **bounds: int | None) -> int | None:

@@ -3,8 +3,9 @@
 Each suite replays one family of claims on a bounded grid and reports a
 case count plus any failures. All but ``catalan`` compare against a second,
 independent route; ``catalan`` compares two rewritings of one closed form.
-``BOUNDS`` holds each bound's range and readers once; ``run`` and every
-suite check against it, so library calls are capped as the CLI is.
+``SUITES`` gives each suite's bounds with their defaults, ``BOUNDS`` each
+bound's range; ``run`` and every suite check against ``BOUNDS``, so library
+calls are capped as the CLI is. A new suite is one row plus its function.
 """
 
 from __future__ import annotations
@@ -26,23 +27,30 @@ from .filtration import cumulative_length_via_decomposition, filtration_indices,
 from .partitions import Partition
 from .schur import schur_dim, ssyt_count, weyl_dim
 
-SUITE_NAMES = ("schur", "zset", "decomposition", "identities", "catalan")
+# Suite name, in the order ``run("all")`` runs them -> the bounds its
+# ``verify_<name>`` function reads, each with its default.
+SUITES = {
+    "schur": {},
+    "zset": {"max_t": 20},
+    "decomposition": {"max_m": 8, "max_t": 12},
+    "identities": {"max_b": 40},
+    "catalan": {"max_m": 20},
+}
 
-# Keyword of ``run`` -> (least, largest, the suites that read it). The largest
-# values come from a budget of one minute for ``run("all")`` with every bound
-# at its largest, on one core: about 18 s for decomposition at (max_m, max_t)
-# = (200, 100), 12 s for identities at max_b = 400, and well under a second
-# for zset and catalan. A core slowed by other load can take twice that.
+# Keyword of ``run`` -> (least, largest). The largest values come from a
+# budget of one minute for ``run("all")`` with every bound at its largest, on
+# one core: about 18 s for decomposition at (max_m, max_t) = (200, 100), 12 s
+# for identities at max_b = 400, and well under a second for zset and
+# catalan. A core slowed by other load can take twice that.
 BOUNDS = {
-    "max_m": (3, 200, ("decomposition", "catalan")),
-    "max_t": (1, 100, ("zset", "decomposition")),
-    "max_b": (0, 400, ("identities",)),
+    "max_m": (3, 200),
+    "max_t": (1, 100),
+    "max_b": (0, 400),
 }
 
 
 def _check_bound(name: str, value: object) -> None:
-    least, most, _ = BOUNDS[name]
-    check_integer(name, value, least, most)
+    check_integer(name, value, *BOUNDS[name])
 
 
 class SuiteResult:
@@ -67,10 +75,10 @@ class SuiteResult:
 def verify_schur() -> SuiteResult:
     """Weyl product against tableau counting, plus power closed forms.
 
-    The grid is fixed, because the tableau count is exponential in the
-    number of boxes: shapes of at most 8 boxes in at most 4 rows, on C^1 to
-    C^6 (426 cases). The 53 shapes are enumerated as ``filtration_indices``
-    enumerates its candidates: weakly decreasing 4-tuples with sum at most 8.
+    The grid is fixed, so that it pins the golden ``verify-all`` row's 426
+    cases; CI's tableau step checks the oracle past it. Its 53 shapes, the
+    weakly decreasing 4-tuples with sum at most 8, are enumerated as
+    ``filtration_indices`` enumerates its candidates, on C^1 to C^6.
     """
     max_size, max_rows, max_dim = 8, 4, 6
     res = SuiteResult("schur")
@@ -100,7 +108,7 @@ def verify_schur() -> SuiteResult:
     return res
 
 
-def verify_zset(max_t: int = 20) -> SuiteResult:
+def verify_zset(max_t: int) -> SuiteResult:
     """General filtration-index search against the n = 2 characterization.
 
     ``filtration_indices`` stores each index set, so this compares the search
@@ -119,7 +127,7 @@ def verify_zset(max_t: int = 20) -> SuiteResult:
     return res
 
 
-def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
+def verify_decomposition(max_m: int, max_t: int) -> SuiteResult:
     """Weight-by-weight layer sums against the closed forms.
 
     Per m: a case for each t's layer, one for the cumulative route at max_t,
@@ -154,7 +162,7 @@ def verify_decomposition(max_m: int = 8, max_t: int = 12) -> SuiteResult:
     return res
 
 
-def verify_identities(max_b: int = 40) -> SuiteResult:
+def verify_identities(max_b: int) -> SuiteResult:
     """Square-weighted binomial identity on the full 0 <= a <= b grid."""
     _check_bound("max_b", max_b)
     res = SuiteResult("identities")
@@ -164,7 +172,7 @@ def verify_identities(max_b: int = 40) -> SuiteResult:
     return res
 
 
-def verify_catalan(max_m: int = 20) -> SuiteResult:
+def verify_catalan(max_m: int) -> SuiteResult:
     """(2m)! times the asymptotic multiplicity equals the m-th Catalan number.
 
     Both sides rewrite one closed form; the long route is not run. The suite
@@ -183,19 +191,19 @@ def verify_catalan(max_m: int = 20) -> SuiteResult:
 def run(suite: str, **bounds: int | None) -> list[SuiteResult]:
     """Run one named suite, or all of them, with optional bound overrides.
 
-    Each keyword names a bound in ``BOUNDS``. A bound left as None keeps the
-    suite's default; every bound given is checked first, read or not. Each
-    suite is looked up as the attribute ``verify_<name>`` at call time, so a
-    wrapper installed over it runs.
+    Each keyword names a bound in ``BOUNDS``; every bound given is checked
+    first, read or not. Each suite is looked up as ``verify_<name>`` at call
+    time, so a wrapper installed over it runs, and gets the bounds its
+    ``SUITES`` row reads, a bound left as None taking the row's default.
     """
     if unknown := sorted(bounds.keys() - BOUNDS):
         raise TypeError(f"run() got unknown bounds {unknown}; the bounds are {list(BOUNDS)}")
-    if suite != "all" and suite not in SUITE_NAMES:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     given = {b: v for b, v in bounds.items() if v is not None}
     for name, value in given.items():
         _check_bound(name, value)
     return [
-        globals()[f"verify_{name}"](**{b: v for b, v in given.items() if name in BOUNDS[b][2]})
-        for name in (SUITE_NAMES if suite == "all" else (suite,))
+        globals()[f"verify_{name}"](**{b: given.get(b, d) for b, d in SUITES[name].items()})
+        for name in (SUITES if suite == "all" else (suite,))
     ]

@@ -53,11 +53,12 @@ MUTANTS = [
     ("filtration.py", "if l != 1 or z1 != z2:", "if False:", "decomposition route: index shape re-check removed"),
     ("verify.py", "return self.cases > 0 and not self.failures", "return not self.failures", "SuiteResult.passed: a zero-case suite passes"),
     ("verify.py", "self.cases += 1", "self.cases += 0", "SuiteResult.check: cases not counted"),
-    ("verify.py", "if suite != \"all\" and suite not in SUITE_NAMES:", "if False:", "run: an unknown suite accepted"),
+    ("verify.py", "if suite != \"all\" and suite not in SUITES:", "if False:", "run: an unknown suite reaches SUITES as a KeyError"),
     ("verify.py", "if unknown := sorted(bounds.keys() - BOUNDS):", "if unknown := []:", "run: an unknown bound name reaches BOUNDS as a KeyError"),
     ("verify.py", "    for name, value in given.items():\n        _check_bound(name, value)\n", "", "run: a bound no suite reads goes unchecked"),
-    ("verify.py", "\"max_m\": (3, 200,", "\"max_m\": (3, 199,", "BOUNDS: largest max_m one lower"),
-    ("verify.py", "\"max_b\": (0, 400,", "\"max_b\": (0, 401,", "BOUNDS: largest max_b one higher"),
+    ("verify.py", "\"max_m\": (3, 200),", "\"max_m\": (3, 199),", "BOUNDS: largest max_m one lower"),
+    ("verify.py", "\"max_b\": (0, 400),", "\"max_b\": (0, 401),", "BOUNDS: largest max_b one higher"),
+    ("verify.py", "\"zset\": {\"max_t\": 20},", "\"zset\": {\"max_t\": 19},", "SUITES: zset's default max_t one lower"),
     ("cli.py", "marker = \"match\" if total == closed else \"MISMATCH\"", "marker = \"match\"", "decompose: a mismatch printed as [match]"),
     ("cli.py", "\"match\": total == closed,", "\"match\": True,", "decompose --json: a mismatch reported as a match"),
     ("cli.py", "len(result.failures) - 5} more", "len(result.failures) - 4} more", "verify: wrong '... and N more' count"),
@@ -97,6 +98,7 @@ EQUIVALENT = [
         "a strip lowers the row count by at most one, so a nu of k rows never empties in the k - 1 levels left; the cap only prunes",
     ),
     ("schur.py", "return counts[empty]", "return sum(counts.values())", "level 1 keeps no row, so the empty shape is the only state left"),
+    ("schur.py", "    if not p:\n        return 1\n", "", "the transfer also counts 1 for the empty shape, its one state passed once per letter; the shortcut only saves time"),
 ]
 
 

@@ -184,6 +184,21 @@ class TestVerify:
         assert code == 1
         assert out == "zset: FAIL (no case checked)\n"
 
+    def test_a_table_row_is_a_suite(self, monkeypatch):
+        # A new suite is one SUITES row plus its verify_<name> function: run
+        # passes it the row's default, or the bound given, with no other edit.
+        calls = []
+
+        def verify_extra(max_t):
+            calls.append(max_t)
+            return verify.SuiteResult("extra")
+
+        monkeypatch.setitem(verify.SUITES, "extra", {"max_t": 7})
+        monkeypatch.setattr(verify, "verify_extra", verify_extra, raising=False)
+        assert [r.name for r in verify.run("all")][-2:] == ["catalan", "extra"]
+        assert [r.name for r in verify.run("extra", max_t=3)] == ["extra"]
+        assert calls == [7, 3]
+
 
 # Each command's options as its --help lists them, whitespace collapsed.
 HELP = {
@@ -214,9 +229,9 @@ HELP = {
     ],
     "verify": [
         "--suite {schur,zset,decomposition,identities,catalan,all} Suite to run, or all of them.",
-        "--max-m MAX_M Upper m bound, 3..200, read by the decomposition and catalan suites.",
-        "--max-t MAX_T Upper t bound, 1..100, read by the zset and decomposition suites.",
-        "--max-b MAX_B Upper b bound, 0..400, read by the identities suite.",
+        "--max-m MAX_M Upper m bound, 3..200 (default: 8 for decomposition, 20 for catalan).",
+        "--max-t MAX_T Upper t bound, 1..100 (default: 20 for zset, 12 for decomposition).",
+        "--max-b MAX_B Upper b bound, 0..400 (default: 40 for identities).",
     ],
 }
 
