@@ -104,8 +104,6 @@ def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     check_integer("n", n, 1)
     if len(p) > n:
         return 0
-    if not p:
-        return 1
     # counts[mu]: the fillings of p/mu with entries above k. Each mu is padded
     # to len(p) + 1 entries, so mu[i + 1] exists for every row i of p.
     empty = (0,) * (len(p) + 1)

@@ -5,7 +5,9 @@ case count plus any failures. All but ``catalan`` compare against a second,
 independent route; ``catalan`` compares two rewritings of one closed form.
 ``SUITES`` gives each suite's bounds with their defaults, ``BOUNDS`` each
 bound's range; ``run`` and every suite check against ``BOUNDS``, so library
-calls are capped as the CLI is. A new suite is one row plus its function.
+calls are capped as the CLI is. In the package a new suite is one row plus
+its function; the benchmark's tracer keeps its own list of suites
+(``bench/tracer.py`` ``VERIFY_SUITES``), which must name it too.
 """
 
 from __future__ import annotations

@@ -98,7 +98,6 @@ EQUIVALENT = [
         "a strip lowers the row count by at most one, so a nu of k rows never empties in the k - 1 levels left; the cap only prunes",
     ),
     ("schur.py", "return counts[empty]", "return sum(counts.values())", "level 1 keeps no row, so the empty shape is the only state left"),
-    ("schur.py", "    if not p:\n        return 1\n", "", "the transfer also counts 1 for the empty shape, its one state passed once per letter; the shortcut only saves time"),
 ]
 
 

@@ -185,8 +185,9 @@ class TestVerify:
         assert out == "zset: FAIL (no case checked)\n"
 
     def test_a_table_row_is_a_suite(self, monkeypatch):
-        # A new suite is one SUITES row plus its verify_<name> function: run
-        # passes it the row's default, or the bound given, with no other edit.
+        # In the package a new suite is one SUITES row plus its verify_<name>
+        # function: run passes it the row's default, or the bound given, with
+        # no other edit to src/. (bench/tracer.py's VERIFY_SUITES is apart.)
         calls = []
 
         def verify_extra(max_t):
