@@ -5,10 +5,13 @@ closed product formula (Fulton-Harris, Representation Theory, 24.1)
 
     dim S_lambda(C^n) = prod_{1 <= i < j <= n} (lambda_i - lambda_j + j - i) / (j - i)
 
-one block of equal entries at a time, while ``ssyt_count`` counts
-semistandard tableaux as chains of horizontal strips, one entry value at a
-time, with no formula shortcuts, precisely so it can serve as an oracle for
-the product.
+one block of equal entries at a time, while ``ssyt_levels`` counts
+semistandard tableaux with no formula shortcuts, precisely so it can serve
+as an oracle for the product. It builds each tableau bottom up as a chain
+of horizontal strips, one entry value per level, so one pass gives the
+count of every shape inside a bound on C^1, C^2, ..., C^n at once, and
+shapes that share subshapes share their work. ``ssyt_count`` reads one
+shape on one C^n from that pass.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import product
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .closed_forms import check_integer, exact_quotient
 from .partitions import DominantWeight, Partition, _as_partition, _as_weight
@@ -84,39 +87,62 @@ def schur_dim(shape: Partition | Sequence[int], n: int) -> int:
     return weyl_dim(p + (0,) * (n - len(p)), n)
 
 
+def ssyt_levels(bound: Partition | Sequence[int], size: int, n: int) -> Iterator[dict[tuple[int, ...], int]]:
+    """Count semistandard tableaux of every small shape, one entry value at a time.
+
+    Rows weakly increase, columns strictly increase. A tableau with entries
+    in 1..k is a chain of shapes () = lambda^(0) <= ... <= lambda^(k) whose
+    steps, the boxes holding each value, are horizontal strips (Stanley,
+    EC2, 7.10; Fulton, Young Tableaux, 1.1). So level k adds the strip of
+    k's to each shape mu of level k - 1 in every way: row i grows from mu_i
+    up to min(bound_i, mu_{i-1}) (row 0 up to bound_0), and the box total
+    stays within ``size``. Rows from k on stay empty, as the old row above
+    each of them is.
+
+    For k = 1..n this yields the count of tableaux with entries in 1..k of
+    every partition that fits inside ``bound`` and has at most ``size``
+    boxes, keyed by the partition padded with zeros to ``len(bound)``; each
+    level holds exactly the shapes with at most k rows. Each level is a new
+    dict that the next level is computed from, so a caller must not change
+    it. The arguments are checked at the call, before the first level. The
+    cost is n levels, each one pass over those shapes and their strips,
+    with no recursion and no formula.
+    """
+    b = _as_partition(bound)
+    check_integer("size", size, 0)
+    check_integer("n", n, 1)
+    return _strip_levels(b, size, n)
+
+
+def _strip_levels(bound: Partition, size: int, n: int) -> Iterator[dict[tuple[int, ...], int]]:
+    counts = {(0,) * len(bound): 1}
+    for _ in range(n):
+        step: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for mu, c in counts.items():
+            spare = size - sum(mu)
+            tops = bound[:1] + mu[:-1]  # row i grows up to the old row above it
+            ranges = [range(lo, min(cap, top, lo + spare) + 1) for lo, cap, top in zip(mu, bound, tops)]
+            for head in product(*ranges):
+                if sum(head) <= size:
+                    step[head] += c
+        counts = dict(step)
+        yield counts
+
+
 def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     """Count semistandard tableaux of the given shape with entries in 1..n.
 
-    Rows weakly increase, columns strictly increase. A tableau is a chain of
-    shapes () = lambda^(0) <= ... <= lambda^(n) = lambda whose steps, the
-    boxes holding k, are horizontal strips (Stanley, EC2, 7.10; Fulton,
-    Young Tableaux, 1.1). For k = n down to 1 the count holds, per subshape
-    mu, the fillings of lambda/mu with entries above k, and removes the
-    strip of k's from each mu in every way: nu_i from mu_{i+1} to mu_i, and
-    nu keeps at most k - 1 rows for the entries below k (every mu at level k
-    has at most k rows, so the rest of nu is empty). The answer is the count
-    at the empty shape. That is n levels of at most prod(lambda_i + 1)
-    subshapes and their strips, polynomial in the box count for a fixed
-    number of rows, with no recursion. Returns 0 when the shape has more
-    than n rows and 1 for the empty shape.
+    The last level of ``ssyt_levels`` with the shape as its bound and its
+    box count as the size. Returns 0 when the shape has more than n rows
+    and 1 for the empty shape.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)
     if len(p) > n:
         return 0
-    # counts[mu]: the fillings of p/mu with entries above k. Each mu is padded
-    # to len(p) + 1 entries, so mu[i + 1] exists for every row i of p.
-    empty = (0,) * (len(p) + 1)
-    counts = {p + (0,): 1}
-    for k in range(n, 0, -1):
-        free = min(k - 1, len(p))  # the rows nu may keep
-        pad = empty[free:]
-        step: defaultdict[tuple[int, ...], int] = defaultdict(int)
-        for mu, c in counts.items():
-            for head in product(*[range(lo, hi + 1) for lo, hi in zip(mu[1:], mu[:free])]):
-                step[head + pad] += c
-        counts = step
-    return counts[empty]
+    for counts in ssyt_levels(p, sum(p), n):
+        pass
+    return counts[p]
 
 
 def tensor_pair_dim(

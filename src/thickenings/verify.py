@@ -27,7 +27,7 @@ from .closed_forms import (
 )
 from .filtration import cumulative_length_via_decomposition, filtration_indices, layer_summands
 from .partitions import Partition
-from .schur import schur_dim, ssyt_count, weyl_dim
+from .schur import schur_dim, ssyt_levels, weyl_dim
 
 # Suite name, in the order ``run("all")`` runs them -> the bounds its
 # ``verify_<name>`` function reads, each with its default.
@@ -80,19 +80,23 @@ def verify_schur() -> SuiteResult:
     The grid is fixed, so that it pins the golden ``verify-all`` row's 426
     cases; CI's tableau step checks the oracle past it. Its 53 shapes, the
     weakly decreasing 4-tuples with sum at most 8, are enumerated as
-    ``filtration_indices`` enumerates its candidates, on C^1 to C^6.
+    ``filtration_indices`` enumerates its candidates. One ``ssyt_levels``
+    pass counts the tableaux of all of them on C^1 to C^6 at once; level n
+    holds each shape's count on C^n (none for a shape of more than n rows,
+    which has no tableau), and is compared with ``schur_dim`` as it arrives.
     """
     max_size, max_rows, max_dim = 8, 4, 6
     res = SuiteResult("schur")
-    shapes = [
-        Partition(z)
+    shapes = {
+        z: Partition(z)
         for z in combinations_with_replacement(range(max_size, -1, -1), max_rows)
         if sum(z) <= max_size
-    ]
-    for shape in shapes:
-        for n in range(1, max_dim + 1):
+    }
+    levels = ssyt_levels((max_size,) * max_rows, max_size, max_dim)
+    for n, counts in enumerate(levels, 1):
+        for z, shape in shapes.items():
             res.check(
-                schur_dim(shape, n) == ssyt_count(shape, n),
+                schur_dim(shape, n) == counts.get(z, 0),
                 f"weyl/ssyt mismatch for {shape!r} on C^{n}",
             )
     for k in range(max_size + 1):

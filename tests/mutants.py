@@ -35,9 +35,10 @@ MUTANTS = [
     ("schur.py", "num *= comb(c + e, p)", "num *= comb(c + e, q)", "weyl_dim: numerator uses the later run's length"),
     ("schur.py", "if j0 + 1 < n and w[j0 + 1] == y", "if w[j0 + 1] == y", "weyl_dim: run test reads past the last entry"),
     ("schur.py", "w[j0 + 1] == y else 1", "w[j0 + 1] != y else 1", "weyl_dim: run test inverted"),
-    ("schur.py", "range(lo, hi + 1)", "range(0, hi + 1)", "ssyt_count: a strip reaches below the next row, so columns only weakly increase"),
-    ("schur.py", "free = min(k - 1, len(p))", "free = min(k - 1, len(p) - 1)", "ssyt_count: the last row's boxes all hold n"),
-    ("schur.py", "for k in range(n, 0, -1):", "for k in range(n - 1, 0, -1):", "ssyt_count: entries only up to n - 1"),
+    ("schur.py", "min(cap, top, lo + spare)", "min(cap, lo + spare)", "ssyt_levels: a strip reaches past the old row above it, so columns only weakly increase"),
+    ("schur.py", "tops = bound[:1] + mu[:-1]", "tops = bound[:2] + mu[1:-1]", "ssyt_levels: a strip of 1's allowed into row 1, under an empty row 0"),
+    ("schur.py", "for _ in range(n):", "for _ in range(n - 1):", "ssyt_levels: levels stop at n - 1"),
+    ("schur.py", "if sum(head) <= size:", "if True:", "ssyt_levels: a level keeps shapes of more than size boxes"),
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
     ("closed_forms.py", "m + 1, f\"cumulative length", "m + 2, f\"cumulative length", "cumulative_length: divisor m + 2"),
     ("closed_forms.py", "    if r:\n", "    if False:\n", "exact_quotient: a remainder passes silently"),
@@ -91,13 +92,13 @@ MUTANTS = [
 
 EQUIVALENT = [
     ("schur.py", "if q == 1:", "if False:", "the loop over one later entry multiplies the same factor; the branch only saves time"),
+    ("schur.py", "lo + spare) + 1)", "lo + spare + 1) + 1)", "the size test drops every shape the wider range adds; the cap only prunes"),
     (
-        "schur.py",
-        "free = min(k - 1, len(p))",
-        "free = min(k, len(p))",
-        "a strip lowers the row count by at most one, so a nu of k rows never empties in the k - 1 levels left; the cap only prunes",
+        "verify.py",
+        "ssyt_levels((max_size,) * max_rows, max_size, max_dim)",
+        "ssyt_levels((max_size,) * max_rows, max_size + 1, max_dim)",
+        "a raised size cap changes no count, because counts only flow to larger shapes; the suite reads only its own 53",
     ),
-    ("schur.py", "return counts[empty]", "return sum(counts.values())", "level 1 keeps no row, so the empty shape is the only state left"),
 ]
 
 

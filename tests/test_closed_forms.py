@@ -21,7 +21,7 @@ from thickenings.filtration import (
     layer_summands,
     paired_weight,
 )
-from thickenings.schur import schur_dim, ssyt_count, weyl_dim
+from thickenings.schur import schur_dim, ssyt_count, ssyt_levels, weyl_dim
 from thickenings.verify import (
     run,
     verify_catalan,
@@ -122,6 +122,7 @@ CHECKED = [
     (weyl_dim, dict(weight=(2, 1, 0), n=3), dict(n=1), {}),
     (schur_dim, dict(shape=(2, 1), n=3), dict(n=1), {}),
     (ssyt_count, dict(shape=(2, 1), n=3), dict(n=1), {}),
+    (ssyt_levels, dict(bound=(2, 1), size=3, n=3), dict(size=0, n=1), {}),
     (nonvanishing_indices, dict(n=3, m=5), dict(n=2, m=4), {}),
     (verify_zset, dict(max_t=2), dict(max_t=1), dict(max_t=100)),
     (verify_decomposition, dict(max_m=3, max_t=2), dict(max_m=3, max_t=1), dict(max_m=200, max_t=100)),
@@ -157,3 +158,10 @@ def test_integer_arguments_are_checked(fn, args, name, least, most):
     for rule, value in rules:
         with pytest.raises(ValueError, match=f"^{name} must be at {rule}, "):
             fn(**{**args, name: value})
+
+
+def test_ssyt_levels_bound_must_be_a_partition():
+    # checked at the call, before the first level is asked for
+    for bound, error in (((1, 2), ValueError), ((2, -1), ValueError), ((2.0, 1), TypeError)):
+        with pytest.raises(error):
+            ssyt_levels(bound, 3, 3)

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from thickenings.partitions import Partition
-from thickenings.schur import schur_dim, ssyt_count, tensor_pair_dim, weyl_dim
+from thickenings.schur import schur_dim, ssyt_count, ssyt_levels, tensor_pair_dim, weyl_dim
 
 
 def compositions(n):
@@ -128,6 +128,20 @@ class TestSsytCount:
 
     def test_many_letters(self):
         assert ssyt_count(Partition([3]), 3000) == schur_dim(Partition([3]), 3000)
+
+
+class TestSsytLevels:
+    def test_every_level_matches_the_definition(self):
+        # The partitions inside bound (5,)*5 with at most 5 boxes, padded to
+        # 5 rows, are the SMALL_SHAPES family.
+        inside = [z for z in combinations_with_replacement(range(5, -1, -1), 5) if sum(z) <= 5]
+        assert {Partition(z) for z in inside} == set(SMALL_SHAPES)
+        levels = list(ssyt_levels((5,) * 5, 5, 4))
+        assert len(levels) == 4
+        for k, counts in enumerate(levels, 1):
+            assert counts.keys() == {z for z in inside if len(Partition(z)) <= min(k, 5)}, k
+            for z, count in counts.items():
+                assert count == definition_ssyt_count(z, k), (z, k)
 
 
 class TestTensorPairDim:
