@@ -10,12 +10,12 @@ it is infinite. Every text line and JSON document is built here.
 
 In JSON output, lengths and dimensions are decimal strings, because they
 outgrow 64-bit integers quickly; m, t, epsilon and weight entries are numbers.
+Templates lay JSON out as ``json.dumps`` prints it; ``decompose --json`` alone imports ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -29,8 +29,8 @@ from .filtration import layer_summands
 
 
 _HELP = "Show this message and exit."
-# ``table``'s head, row template, separator and tail per format; the JSON
-# is laid out as ``json.dumps(rows, indent=2)`` prints a list of row objects.
+# ``table``'s head, row template, separator and tail per format. As for ``length --json``, the JSON
+# is laid out as ``json.dumps(rows, indent=2)`` prints it; only ``decompose --json`` imports ``json``.
 _TABLE = {
     "csv": ("m,t,layer,cumulative\n", "{},{},{},{}\n", "", ""),
     "json": ("[\n", '  {{\n    "m": {},\n    "t": {},\n    "layer": "{}",\n    "cumulative": "{}"\n  }}', ",\n", "\n]\n"),
@@ -151,8 +151,7 @@ def length(m: int, t: int, j: int, as_json: bool):
     value = local_cohomology_length(m, t, j)
     kind = "infinite" if value is None else "finite" if value else "zero"
     if as_json:
-        payload = {"kind": kind, "value": str(value)} if kind == "finite" else {"kind": kind}
-        print(json.dumps(payload))
+        print(f'{{"kind": "finite", "value": "{value}"}}' if kind == "finite" else f'{{"kind": "{kind}"}}')
     elif kind == "finite":
         print(f"finite {value}")
     else:
@@ -203,6 +202,7 @@ def decompose(m: int, t: int, as_json: bool) -> int | None:
     total = sum(s.dim for s in summands)
     closed = layer_length_closed(m, t)
     if as_json:
+        import json
         payload = {
             "m": m,
             "t": t,

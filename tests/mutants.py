@@ -72,6 +72,8 @@ MUTANTS = [
         "table: stdout in one write, so an unbuffered closed pipe exits 0",
     ),
     ("cli.py", "chain([head, next(items)],", "chain([head],", "table: the first JSON row gets a separator"),
+    ("cli.py", "import argparse\nimport os\n", "import argparse\nimport json\nimport os\n", "cli: json imported at start-up again"),
+    ("cli.py", "\"value\": \"{value}\"", "\"value\": {value}", "length --json: the finite value printed as a number, not a string"),
     (
         "cli.py",
         "        except BrokenPipeError:\n"

@@ -22,7 +22,7 @@ def newly_loaded(module: str) -> set[str]:
     "module, absent",
     [
         ("thickenings", {"dataclasses", "inspect", "ast", "dis", "fractions", "decimal"}),
-        ("thickenings.cli", {"click", "dataclasses", "fractions", "decimal", "tempfile"}),
+        ("thickenings.cli", {"click", "dataclasses", "fractions", "decimal", "tempfile", "json"}),
     ],
     ids=["package", "cli"],
 )
