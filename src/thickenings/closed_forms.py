@@ -24,8 +24,11 @@ def binom(n: int, k: int) -> int:
 
 def check_integer(name: str, value: object, least: int, most: int | None = None) -> None:
     """The one check on integer parameters: ``TypeError`` for a bool or a
-    non-int, ``ValueError`` outside least..most (no upper bound if None)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    non-int, ``ValueError`` outside least..most (no upper bound if None).
+
+    A plain ``int`` is accepted after one ``type`` test; only other values
+    reach the ``isinstance`` tests, so an int subclass other than bool passes."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -35,18 +35,23 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
 
         prod_{e=d}^{d+q-1} C(c + e, p) / C(e, p),
 
-    one factor per later entry, taken without a loop when q = 1. A dominant
+    one factor per later entry, taken without a loop when q = 1, and as
+    (c + d) / d without ``math.comb`` when p = q = 1 as well. A dominant
     weight keeps equal entries contiguous, so a run whose next entry
     differs has length 1, found with one comparison, and a longer run ends
     where the C-level ``tuple.count`` of its first entry says. The cost is
     one comparison per one-entry run and one ``count`` (a scan of all n
-    entries) per longer run, plus one ``math.comb`` pair per (earlier run,
-    later entry) in place of the n(n-1)/2 factors of the plain product; so
-    a zero-padded one-row shape (k, 0, ..., 0) takes n - 1 pairs.
+    entries) per longer run, plus one pair of factors per (earlier run,
+    later entry) in place of the n(n-1)/2 factors of the plain product:
+    two integer products when both runs have one entry, one ``math.comb``
+    pair otherwise. So a zero-padded one-row shape (k, 0, ..., 0) takes
+    n - 1 pairs.
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
-    ``ArithmeticError`` would mean the formula was transcribed wrong.
+    ``ArithmeticError`` would mean the formula was transcribed wrong. A
+    denominator of 1, as for every weight of length at most 2, skips the
+    division and returns the numerator.
     """
     w = _as_weight(weight)
     check_integer("n", n, 1)
@@ -63,14 +68,20 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
             c = x - y
             d = j0 - i0
             if q == 1:
-                num *= comb(c + d, p)
-                den *= comb(d, p)
+                if p == 1:
+                    num *= c + d
+                    den *= d
+                else:
+                    num *= comb(c + d, p)
+                    den *= comb(d, p)
             else:
                 for e in range(d, d + q):
                     num *= comb(c + e, p)
                     den *= comb(e, p)
         runs.append((j0, q, y))
         j0 += q
+    if den == 1:
+        return num
     return exact_quotient(num, den, "Weyl product")
 
 

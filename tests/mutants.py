@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
+    ("schur.py", "num *= c + d", "num *= c + d + 1", "weyl_dim: a one-entry block's factor one too large"),
     ("schur.py", "for e in range(d, d + q):", "for e in range(d + 1, d + q):", "weyl_dim: a run's factors start one entry late"),
     ("schur.py", "for e in range(d, d + q):", "for e in range(d, d + q - 1):", "weyl_dim: a run's last factor dropped"),
     ("schur.py", "num *= comb(c + e, p)", "num *= comb(c + e, q)", "weyl_dim: numerator uses the later run's length"),
@@ -42,7 +43,9 @@ MUTANTS = [
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
     ("closed_forms.py", "m + 1, f\"cumulative length", "m + 2, f\"cumulative length", "cumulative_length: divisor m + 2"),
     ("closed_forms.py", "    if r:\n", "    if False:\n", "exact_quotient: a remainder passes silently"),
-    ("closed_forms.py", "if isinstance(value, bool) or not", "if not", "check_integer: a bool passes as an integer"),
+    ("closed_forms.py", "(isinstance(value, bool) or not", "(not", "check_integer: a bool passes as an integer"),
+    ("closed_forms.py", "type(value) is not int and", "not isinstance(value, int) and", "check_integer: a bool skips the type tests"),
+    ("closed_forms.py", "or not isinstance(value, int))", "or True)", "check_integer: an int subclass other than bool refused"),
     ("closed_forms.py", "for e in range(1, b - a + 1))", "for e in range(1, b - a + (a > 0)))", "identity_lhs: the last term dropped at a = 0"),
     ("closed_forms.py", "binom(b + 1, a + 3)\n", "binom(b + 1, a + 3) + (b > 60)\n", "identity_rhs: wrong for b > 60"),
     ("filtration.py", "range(t - 1, -1, -1)", "range(t - 2, -1, -1)", "filtration search: the top z dropped"),
@@ -94,6 +97,8 @@ MUTANTS = [
 
 EQUIVALENT = [
     ("schur.py", "if q == 1:", "if False:", "the loop over one later entry multiplies the same factor; the branch only saves time"),
+    ("schur.py", "if p == 1:", "if False:", "C(c + d, 1) = c + d and C(d, 1) = d; the branch only saves time"),
+    ("schur.py", "if den == 1:", "if False:", "exact_quotient(num, 1) equals num; the early return only saves time"),
     ("schur.py", "lo + spare) + 1)", "lo + spare + 1) + 1)", "the size test drops every shape the wider range adds; the cap only prunes"),
     (
         "verify.py",

@@ -1,3 +1,4 @@
+import enum
 import math
 from fractions import Fraction
 
@@ -158,6 +159,16 @@ def test_integer_arguments_are_checked(fn, args, name, least, most):
     for rule, value in rules:
         with pytest.raises(ValueError, match=f"^{name} must be at {rule}, "):
             fn(**{**args, name: value})
+
+
+def test_int_subclass_accepted():
+    # a plain int takes the one-type-test path; a subclass other than bool
+    # goes through the isinstance tests and must still pass them
+    class M(enum.IntEnum):
+        THREE = 3
+
+    assert cumulative_length(M.THREE, 2) == cumulative_length(3, 2)
+    assert weyl_dim((2, 1, 0), M.THREE) == 8
 
 
 def test_ssyt_levels_bound_must_be_a_partition():
