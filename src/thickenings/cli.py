@@ -1,7 +1,7 @@
-"""Command line front end, and the only module that renders output.
+"""Command line front end: the only module that parses arguments or renders output.
 
-The library returns plain values: a length is an ``int``, or ``None`` when
-it is infinite. Every text line and JSON document is built here.
+The library returns plain values: a length is an ``int``, or ``None`` when it is infinite.
+Every text line and JSON document is built here, and no run imports ``argparse``.
 
     thickenings length --m 3 --t 3            one local cohomology length
     thickenings table --m-min 3 --m-max 5 --t-min 1 --t-max 10
@@ -15,10 +15,9 @@ Templates lay JSON out as ``json.dumps`` prints it; ``decompose --json`` alone i
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from types import SimpleNamespace
 
@@ -29,8 +28,7 @@ from .filtration import layer_summands
 
 
 _HELP = "Show this message and exit."
-# ``table``'s head, row template, separator and tail per format. As for ``length --json``, the JSON
-# is laid out as ``json.dumps(rows, indent=2)`` prints it; only ``decompose --json`` imports ``json``.
+# ``table``'s head, row template, separator and tail per format; JSON as ``json.dumps(rows, indent=2)`` lays it out.
 _TABLE = {
     "csv": ("m,t,layer,cumulative\n", "{},{},{},{}\n", "", ""),
     "json": ("[\n", '  {{\n    "m": {},\n    "t": {},\n    "layer": "{}",\n    "cumulative": "{}"\n  }}', ",\n", "\n]\n"),
@@ -40,9 +38,10 @@ _TABLE = {
 class _Main:
     """The ``thickenings`` command: ``main()`` runs ``sys.argv[1:]``.
 
-    ``commands`` maps a name to its ``options`` and the ``callback`` that
-    takes them as keywords and returns 1 to fail. The callback is looked up
-    at each run, so a wrapper set on it (``bench/tracer.py`` sets one) runs.
+    ``commands`` maps a name to its ``options`` (each flag's argparse keywords), ``usage``
+    and the ``callback`` that takes the options as keywords and returns 1 to fail. ``_parse``
+    reads the options with argparse's checks and wording. The callback is looked up at each
+    run, so a wrapper set on it (``bench/tracer.py`` sets one) runs.
     """
 
     def __init__(self, description: str):
@@ -51,7 +50,12 @@ class _Main:
 
     def command(self, *options):
         def register(callback):
-            self.commands[callback.__name__] = SimpleNamespace(callback=callback, options=options)
+            for flag, spec in options:  # the keyword and the form in help that argparse gave an option
+                spec.setdefault("dest", flag[2:].replace("-", "_"))
+                metavar = spec.get("metavar") or ("{" + ",".join(spec["choices"]) + "}" if "choices" in spec else None)
+                spec["shown"] = flag if spec.get("action") else f"{flag} {metavar or spec['dest'].upper()}"
+            usage = " ".join(["[--help]", *(s["shown"] if s.get("required") else f"[{s['shown']}]" for _, s in options)])
+            self.commands[callback.__name__] = SimpleNamespace(callback=callback, options=dict(options), usage=usage)
             return callback
 
         return register
@@ -59,11 +63,11 @@ class _Main:
     def main(self, args: list[str] | None = None, prog_name: str = "thickenings") -> None:
         """Run one command line: return when it succeeds, else raise ``SystemExit``.
 
-        ``--help`` exits 0. A library ``ValueError`` is a usage error (exit 2).
-        An interrupt prints ``Aborted!`` and exits 1; a closed pipe exits 1
-        silently; any other exception prints one ``Error:`` line and exits 1.
-        Exact lengths are read and printed at any size: the ``str(int)``
-        digit limit is lifted for the run and put back after it.
+        ``--help`` exits 0. A usage error, a library ``ValueError`` among them, exits 2 with the
+        usage line and ``PROG: error: MESSAGE`` on stderr. An interrupt prints ``Aborted!`` and
+        exits 1; a closed pipe exits 1 silently; any other exception prints one ``Error:`` line
+        and exits 1. Exact lengths are read and printed at any size: the ``str(int)`` digit
+        limit is lifted for the run and put back after it.
         """
         if not hasattr(sys, "set_int_max_str_digits"):
             return self._run(args, prog_name)
@@ -77,21 +81,20 @@ class _Main:
     __call__ = main
 
     def _run(self, args: list[str] | None, prog_name: str) -> None:
-        parser = argparse.ArgumentParser(prog=prog_name, description=self.description, add_help=False, allow_abbrev=False)
-        parser.add_argument("--help", action="help", help=_HELP)
-        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-        for name, command in self.commands.items():
-            doc = command.callback.__doc__ or ""
-            sub = subparsers.add_parser(name, help=doc.split("\n")[0], description=doc, add_help=False, allow_abbrev=False)
-            for flag, spec in (("--help", dict(action="help", help=_HELP)), *command.options):
-                sub.add_argument(flag, **spec)
-        kwargs = vars(parser.parse_args(args))
-        name = kwargs.pop("command")
+        args = list(sys.argv[1:] if args is None else args)
+        if args[:1] == ["--help"]:
+            rows = {name: (c.callback.__doc__ or "").split("\n")[0] for name, c in self.commands.items()}
+            _help(prog_name, "[--help] COMMAND ...", self.description, "commands", {**rows, "--help": _HELP})
+        if not args or args[0] not in self.commands:
+            choices = ", ".join(map(repr, self.commands))
+            error = f"argument COMMAND: invalid choice: {args[0]!r} (choose from {choices})" if args else None
+            _fail(prog_name, "[--help] COMMAND ...", error or "the following arguments are required: COMMAND")
+        prog, command = f"{prog_name} {args[0]}", self.commands[args[0]]
         try:
-            status = self.commands[name].callback(**kwargs)
+            status = command.callback(**_parse(prog, command, iter(args[1:])))
             sys.stdout.flush()
         except ValueError as exc:
-            subparsers.choices[name].error(str(exc))
+            _fail(prog, command.usage, str(exc))
         except KeyboardInterrupt:
             print("\nAborted!", file=sys.stderr)
             sys.exit(1)
@@ -104,6 +107,49 @@ class _Main:
             sys.exit(1)
         if status:
             sys.exit(status)
+
+
+def _parse(prog: str, command: SimpleNamespace, words: Iterator[str]) -> dict:
+    """A command's words as its callback's keywords. Flags match exactly; a bad word raises ``ValueError``."""
+    options = command.options
+    kwargs = {s["dest"]: s.get("default", False if s.get("action") else None) for s in options.values()}
+    for word in words:
+        if word == "--help":
+            rows = {spec["shown"]: spec.get("help", "") % spec for spec in options.values()}
+            _help(prog, command.usage, command.callback.__doc__ or "", "options", {"--help": _HELP, **rows})
+        flag, given, value = word.partition("=")
+        if (spec := options.get(flag)) is None or given and spec.get("action"):
+            raise ValueError(f"unrecognized arguments: {word}")
+        if spec.get("action"):  # store_true
+            kwargs[spec["dest"]] = True
+            continue
+        if not given and ((value := next(words, None)) is None or value.startswith("--")):
+            raise ValueError(f"argument {flag}: expected one argument")
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {spec['type'].__name__} value: {value!r}") from None
+        if value not in spec.get("choices", [value]):
+            choices = ", ".join(map(repr, spec["choices"]))
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        kwargs[spec["dest"]] = value
+    if missing := [flag for flag, spec in options.items() if spec.get("required") and kwargs[spec["dest"]] is None]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return kwargs
+
+
+def _fail(prog: str, usage: str, message: str):
+    sys.stderr.write(f"usage: {prog} {usage}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _help(prog: str, usage: str, text: str, heading: str, rows: dict[str, str]):
+    width = min(max(map(len, rows)) + 2, 24)
+    lines = (f"  {left:<{width}}{right}" if len(left) < width else f"  {left}\n{'':{width + 2}}{right}"
+             for left, right in rows.items())
+    text = "\n".join(line.strip() for line in text.strip().splitlines())
+    print(f"usage: {prog} {usage}\n\n{text}\n\n{heading}:", *lines, sep="\n")
+    sys.exit(0)
 
 
 def _write_atomic(path: str, pieces: Iterable[str]) -> None:
@@ -203,29 +249,13 @@ def decompose(m: int, t: int, as_json: bool) -> int | None:
     closed = layer_length_closed(m, t)
     if as_json:
         import json
-        payload = {
-            "m": m,
-            "t": t,
-            "summands": [
-                {
-                    "epsilon": s.epsilon,
-                    "lambda": s.gl2_weight,
-                    "lambda_s": s.glm_weight,
-                    "dim": str(s.dim),
-                }
-                for s in summands
-            ],
-            "total": str(total),
-            "closed_form": str(closed),
-            "match": total == closed,
-        }
-        print(json.dumps(payload, indent=2))
+        rows = [{"epsilon": s.epsilon, "lambda": s.gl2_weight, "lambda_s": s.glm_weight, "dim": str(s.dim)}
+                for s in summands]
+        totals = {"total": str(total), "closed_form": str(closed), "match": total == closed}
+        print(json.dumps({"m": m, "t": t, "summands": rows, **totals}, indent=2))
     else:
         for s in summands:
-            print(
-                f"epsilon={s.epsilon}  lambda={tuple(s.gl2_weight)}  "
-                f"lambda_s={tuple(s.glm_weight)}  dim={s.dim}"
-            )
+            print(f"epsilon={s.epsilon}  lambda={tuple(s.gl2_weight)}  lambda_s={tuple(s.glm_weight)}  dim={s.dim}")
         marker = "match" if total == closed else "MISMATCH"
         print(f"total={total}  closed_form={closed}  [{marker}]")
     if total != closed:
@@ -248,9 +278,8 @@ def verify(suite: str, **bounds: int | None) -> int | None:
 
     The schur suite reads no bound. A suite that checks no case fails.
     """
-    results = verify_suites.run(suite, **bounds)
     failed = False
-    for result in results:
+    for result in verify_suites.run(suite, **bounds):
         if not result.cases:
             print(f"{result.name}: FAIL (no case checked)")
         else:

@@ -64,7 +64,7 @@ MUTANTS = [
     ("verify.py", "\"max_b\": (0, 400),", "\"max_b\": (0, 401),", "BOUNDS: largest max_b one higher"),
     ("verify.py", "\"zset\": {\"max_t\": 20},", "\"zset\": {\"max_t\": 19},", "SUITES: zset's default max_t one lower"),
     ("cli.py", "marker = \"match\" if total == closed else \"MISMATCH\"", "marker = \"match\"", "decompose: a mismatch printed as [match]"),
-    ("cli.py", "\"match\": total == closed,", "\"match\": True,", "decompose --json: a mismatch reported as a match"),
+    ("cli.py", "\"match\": total == closed}", "\"match\": True}", "decompose --json: a mismatch reported as a match"),
     ("cli.py", "len(result.failures) - 5} more", "len(result.failures) - 4} more", "verify: wrong '... and N more' count"),
     ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass", "closed pipe: stdout not switched to devnull"),
     ("cli.py", "target = os.path.realpath(path)", "target = path", "table --out: a symlink replaced, not its target"),
@@ -75,7 +75,14 @@ MUTANTS = [
         "table: stdout in one write, so an unbuffered closed pipe exits 0",
     ),
     ("cli.py", "chain([head, next(items)],", "chain([head],", "table: the first JSON row gets a separator"),
-    ("cli.py", "import argparse\nimport os\n", "import argparse\nimport json\nimport os\n", "cli: json imported at start-up again"),
+    ("cli.py", "import os\nimport sys\n", "import json\nimport os\nimport sys\n", "cli: json imported at start-up again"),
+    ("cli.py", "import os\nimport sys\n", "import argparse\nimport os\nimport sys\n", "cli: argparse imported at start-up again"),
+    ("cli.py", "if missing := [flag", "if missing := [] and [flag", "_parse: a missing required flag reaches the command as None"),
+    ("cli.py", "value = spec.get(\"type\", str)(value)", "value = value", "_parse: a value reaches the command as a string, not an int"),
+    ("cli.py", "if value not in spec.get(\"choices\", [value]):", "if False:", "_parse: a value outside choices accepted"),
+    ("cli.py", "raise ValueError(f\"unrecognized arguments: {word}\")", "continue", "_parse: an unknown flag or stray word ignored"),
+    ("cli.py", " or value.startswith(\"--\")", "", "_parse: a flag taken as the value of the flag before it"),
+    ("cli.py", "    sys.exit(0)\n", "", "--help: help printed, then the run goes on"),
     ("cli.py", "\"value\": \"{value}\"", "\"value\": {value}", "length --json: the finite value printed as a number, not a string"),
     (
         "cli.py",

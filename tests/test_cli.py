@@ -152,10 +152,6 @@ class TestVerify:
         code, _, _ = invoke("verify", "--suite", "catalan", "--max-m", "200", "--max-t", "100", "--max-b", "400")
         assert code == 0
 
-    def test_unknown_suite_is_usage_error(self):
-        code, _, _ = invoke("verify", "--suite", "nonsense")
-        assert code == 2
-
     def test_failure_exits_one(self, monkeypatch):
         monkeypatch.setattr(verify, "catalan", lambda m: -1)
         code, out, _ = invoke("verify", "--suite", "catalan", "--max-m", "10")
@@ -199,6 +195,48 @@ class TestVerify:
         assert [r.name for r in verify.run("all")][-2:] == ["catalan", "extra"]
         assert [r.name for r in verify.run("extra", max_t=3)] == ["extra"]
         assert calls == [7, 3]
+
+
+# A command line the parser refuses, and its message on stderr: exit 2, nothing on stdout.
+USAGE_ERRORS = {
+    "no-command": ((), "the following arguments are required: COMMAND"),
+    "unknown-command": (("nope",), "argument COMMAND: invalid choice: 'nope' (choose from "
+                        "'length', 'table', 'decompose', 'verify')"),
+    "unknown-flag": (("length", "--m", "3", "--t", "3", "--bogus"), "unrecognized arguments: --bogus"),
+    "abbreviated-flag": (("length", "--m", "3", "--t", "3", "--js"), "unrecognized arguments: --js"),
+    "stray-word": (("length", "--m", "3", "--t", "3", "stray"), "unrecognized arguments: stray"),
+    "flag-with-value": (("length", "--m", "3", "--t", "3", "--json=1"), "unrecognized arguments: --json=1"),
+    "no-value-at-end": (("length", "--t", "3", "--m"), "argument --m: expected one argument"),
+    "flag-as-value": (("length", "--m", "--t", "3"), "argument --m: expected one argument"),
+    "not-an-int": (("length", "--m", "x", "--t", "3"), "argument --m: invalid int value: 'x'"),
+    "unknown-format": (TABLE + ("--format", "xml"), "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    "unknown-suite": (("verify", "--suite", "nonsense"), "argument --suite: invalid choice: 'nonsense' (choose from "
+                      "'schur', 'zset', 'decomposition', 'identities', 'catalan', 'all')"),
+    "missing-flag": (("length", "--m", "3"), "the following arguments are required: --t"),
+    "missing-flags": (("length",), "the following arguments are required: --m, --t"),
+    # A negative value is a value; the library's range check refuses it.
+    "negative-value": (("length", "--m", "3", "--t", "-1"), "t must be at least 1, got -1"),
+}
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error(args, message):
+    code, out, err = invoke(*args)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    prog = f"thickenings {args[0]}" if args and args[0] in main.commands else "thickenings"
+    assert usage.startswith(f"usage: {prog} [--help] ")
+    assert error == f"{prog}: error: {message}"
+
+
+def test_values_after_equals_signs():
+    assert invoke("length", "--m=3", "--t=3") == (0, "finite 10\n", "")
+
+
+def test_help_needs_no_required_flag():
+    code, out, err = invoke("length", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: thickenings length [--help] --m M --t T [--j J] [--json]\n")
 
 
 # Each command's options as its --help lists them, whitespace collapsed.
