@@ -49,14 +49,16 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
-    ``ArithmeticError`` would mean the formula was transcribed wrong. A
-    denominator of 1, as for every weight of length at most 2, skips the
-    division and returns the numerator.
+    ``ArithmeticError`` would mean the formula was transcribed wrong. After
+    the checks, a weight of length 2 returns w0 - w1 + 1 and one of length 1
+    returns 1, the whole product on GL_2 and GL_1, without the loop.
     """
     w = _as_weight(weight)
     check_integer("n", n, 1)
     if len(w) != n:
         raise ValueError(f"weight {w!r} has length {len(w)}, expected {n}")
+    if n < 3:
+        return w[0] - w[1] + 1 if n == 2 else 1
     num = 1
     den = 1
     runs: list[tuple[int, int, int]] = []  # (i0, p, x) of each run passed
@@ -80,8 +82,6 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
                     den *= comb(e, p)
         runs.append((j0, q, y))
         j0 += q
-    if den == 1:
-        return num
     return exact_quotient(num, den, "Weyl product")
 
 

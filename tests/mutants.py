@@ -40,6 +40,14 @@ MUTANTS = [
     ("schur.py", "tops = bound[:1] + mu[:-1]", "tops = bound[:2] + mu[1:-1]", "ssyt_levels: a strip of 1's allowed into row 1, under an empty row 0"),
     ("schur.py", "for _ in range(n):", "for _ in range(n - 1):", "ssyt_levels: levels stop at n - 1"),
     ("schur.py", "if sum(head) <= size:", "if True:", "ssyt_levels: a level keeps shapes of more than size boxes"),
+    ("schur.py", "w[0] - w[1] + 1 if", "w[0] - w[1] if", "weyl_dim: the GL_2 value one too small"),
+    ("schur.py", "if n == 2 else 1", "if n == 2 else 0", "weyl_dim: the GL_1 value 0"),
+    (
+        "schur.py",
+        "    w = _as_weight(weight)\n",
+        "    w = _as_weight(weight)\n    if n < 3:\n        return w[0] - w[1] + 1 if n == 2 else 1\n",
+        "weyl_dim: the GL_1/GL_2 base case taken before the n and length checks",
+    ),
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
     ("closed_forms.py", "m + 1, f\"cumulative length", "m + 2, f\"cumulative length", "cumulative_length: divisor m + 2"),
     ("closed_forms.py", "    if r:\n", "    if False:\n", "exact_quotient: a remainder passes silently"),
@@ -105,7 +113,7 @@ MUTANTS = [
 EQUIVALENT = [
     ("schur.py", "if q == 1:", "if False:", "the loop over one later entry multiplies the same factor; the branch only saves time"),
     ("schur.py", "if p == 1:", "if False:", "C(c + d, 1) = c + d and C(d, 1) = d; the branch only saves time"),
-    ("schur.py", "if den == 1:", "if False:", "exact_quotient(num, 1) equals num; the early return only saves time"),
+    ("schur.py", "if n < 3:", "if n < 2:", "the run loop gives w0 - w1 + 1 for n = 2; the base case only saves time"),
     ("schur.py", "lo + spare) + 1)", "lo + spare + 1) + 1)", "the size test drops every shape the wider range adds; the cap only prunes"),
     (
         "verify.py",

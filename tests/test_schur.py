@@ -77,6 +77,13 @@ class TestWeylDim:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             weyl_dim((1, 0), 3)
+        # the checks run before the closed forms for n <= 2
+        for weight in ((1, 0, 0), (1,)):
+            with pytest.raises(ValueError):
+                weyl_dim(weight, 2)
+        for weight, n in (((3, 1), True), ((2.0, 1), 2)):
+            with pytest.raises(TypeError):
+                weyl_dim(weight, n)
 
     def test_matches_plain_product(self):
         assert (len(RUN_WEIGHTS), len(LONG_WEIGHTS), len(GRID_WEIGHTS)) == (1190, 12, 42503)
