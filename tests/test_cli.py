@@ -216,6 +216,20 @@ USAGE_ERRORS = {
     "missing-flags": (("length",), "the following arguments are required: --m, --t"),
     # A negative value is a value; the library's range check refuses it.
     "negative-value": (("length", "--m", "3", "--t", "-1"), "t must be at least 1, got -1"),
+    "length-narrow-matrix": (("length", "--m", "2", "--t", "1"), "m must be at least 3, got 2"),
+    "length-zero-power": (("length", "--m", "3", "--t", "0"), "t must be at least 1, got 0"),
+    "length-index-out-of-range": (("length", "--m", "3", "--t", "1", "--j", "7"), "j must be at most 6, got 7"),
+    "decompose-narrow-matrix": (("decompose", "--m", "2", "--t", "3"), "m must be at least 3, got 2"),
+    "decompose-zero-power": (("decompose", "--m", "3", "--t", "0"), "t must be at least 1, got 0"),
+    # table makes its first row before it writes anything, so a bad m or t prints nothing.
+    "table-narrow-matrix": (("table", "--m-min", "2", "--m-max", "4", "--t-min", "1", "--t-max", "3"),
+                            "m must be at least 3, got 2"),
+    "table-zero-power": (("table", "--m-min", "3", "--m-max", "4", "--t-min", "0", "--t-max", "3"),
+                         "t must be at least 1, got 0"),
+    "table-empty-range": (("table", "--m-min", "4", "--m-max", "3", "--t-min", "1", "--t-max", "2"), "empty range"),
+    "verify-max-m-over-cap": (("verify", "--suite", "all", "--max-m", "201"), "max_m must be at most 200, got 201"),
+    "verify-max-t-over-cap": (("verify", "--suite", "all", "--max-t", "1000000"), "max_t must be at most 100, got 1000000"),
+    "verify-max-b-over-cap": (("verify", "--suite", "all", "--max-b", "401"), "max_b must be at most 400, got 401"),
 }
 
 

@@ -33,11 +33,6 @@ from thickenings.verify import (
 
 
 class TestBinom:
-    def test_basic(self):
-        assert binom(5, 2) == 10
-        assert binom(7, 0) == 1
-        assert binom(0, 0) == 1
-
     def test_matches_comb_in_range(self):
         for n in range(-5, 31):
             for k in range(-5, 36):
@@ -50,18 +45,7 @@ def test_exact_quotient():
         exact_quotient(7, 2, "x")
 
 
-class TestLayerLengthClosed:
-    def test_m3(self):
-        assert [layer_length_closed(3, t) for t in (1, 2, 3)] == [0, 1, 9]
-
-    def test_m4_t2(self):
-        assert layer_length_closed(4, 2) == 1
-
-
 class TestCumulativeLength:
-    def test_m3(self):
-        assert [cumulative_length(3, t) for t in (1, 2, 3)] == [0, 1, 10]
-
     def test_strictly_increasing_from_t1(self):
         for m in range(3, 9):
             for t in range(1, 21):
@@ -92,16 +76,6 @@ class TestAsymptoticMultiplicity:
 class TestCatalan:
     def test_sequence_start(self):
         assert [catalan(m) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
-
-
-class TestIdentity:
-    def test_worked_example(self):
-        assert identity_lhs(1, 3) == 6
-        assert identity_rhs(1, 3) == 6
-
-    def test_empty_sum(self):
-        assert identity_lhs(4, 4) == 0
-        assert identity_rhs(4, 4) == 0
 
 
 # Each function that checks its integer parameters with ``check_integer``:
