@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from thickenings.partitions import Partition
-from thickenings.schur import schur_dim, ssyt_count, ssyt_levels, weyl_dim
+from thickenings.schur import schur_dim, ssyt_count, ssyt_levels, tensor_pair_dim, weyl_dim
 
 
 def compositions(n):
@@ -70,6 +70,10 @@ def definition_ssyt_count(shape, n):
 
 
 class TestWeylDim:
+    def test_adjoint_of_gl3(self):
+        # frozen from the tableau-counting oracle
+        assert weyl_dim((2, 1, 0), 3) == 8
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             weyl_dim((1, 0), 3)
@@ -97,12 +101,33 @@ class TestWeylDim:
                         weyl_dim(w, n)
 
 
+class TestSchurDim:
+    def test_too_many_rows_vanishes(self):
+        assert schur_dim(Partition([1, 1, 1]), 2) == 0
+        assert schur_dim(Partition([2, 2, 1]), 2) == 0
+
+    def test_pads_short_shapes(self):
+        assert schur_dim(Partition([2, 1]), 3) == weyl_dim((2, 1, 0), 3)
+
+
 class TestSsytCount:
+    def test_single_column_two_rows(self):
+        assert ssyt_count(Partition([1, 1]), 2) == 1
+
+    def test_hook_two_letters(self):
+        assert ssyt_count(Partition([2, 1]), 2) == 2
+
     def test_matches_the_definition(self):
         assert len(SMALL_SHAPES) == 19
         for shape in SMALL_SHAPES:
             for n in range(1, 5):
                 assert ssyt_count(shape, n) == definition_ssyt_count(shape, n), (shape, n)
+
+    def test_empty_shape(self):
+        assert ssyt_count(Partition(), 3) == 1
+
+    def test_more_rows_than_letters(self):
+        assert ssyt_count(Partition([1, 1, 1]), 2) == 0
 
     def test_long_row_needs_no_recursion(self):
         # more boxes than Python's default recursion limit of 1000
@@ -124,3 +149,10 @@ class TestSsytLevels:
             assert counts.keys() == {z for z in inside if len(Partition(z)) <= min(k, 5)}, k
             for z, count in counts.items():
                 assert count == definition_ssyt_count(z, k), (z, k)
+
+
+class TestTensorPairDim:
+    def test_second_factor_trivial(self):
+        for m in (3, 4, 5):
+            for eps in range(4):
+                assert tensor_pair_dim((0,) * m, (eps, 0)) == eps + 1
