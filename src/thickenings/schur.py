@@ -143,15 +143,15 @@ def _strip_levels(bound: Partition, size: int, n: int) -> Iterator[dict[tuple[in
 def ssyt_count(shape: Partition | Sequence[int], n: int) -> int:
     """Count semistandard tableaux of the given shape with entries in 1..n.
 
-    The last level of ``ssyt_levels`` with the shape as its bound and its
-    box count as the size. Returns 0 when the shape has more than n rows
-    and 1 for the empty shape.
+    The last level of the ``ssyt_levels`` pass, unchecked, with the shape
+    as its bound and its box count as the size. Returns 0 when the shape
+    has more than n rows and 1 for the empty shape.
     """
     p = _as_partition(shape)
     check_integer("n", n, 1)
     if len(p) > n:
         return 0
-    for counts in ssyt_levels(p, sum(p), n):
+    for counts in _strip_levels(p, sum(p), n):
         pass
     return counts[p]
 

@@ -78,7 +78,7 @@ def verify_schur() -> SuiteResult:
     """Weyl product against tableau counting, plus power closed forms.
 
     The grid is fixed, so that it pins the golden ``verify-all`` row's 426
-    cases; CI's tableau step checks the oracle past it. Its 53 shapes, the
+    cases; ``TestSsytLevels`` checks the oracle past it. Its 53 shapes, the
     weakly decreasing 4-tuples with sum at most 8, are enumerated as
     ``filtration_indices`` enumerates its candidates. One ``ssyt_levels``
     pass counts the tableaux of all of them on C^1 to C^6 at once; level n

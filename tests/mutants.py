@@ -40,6 +40,12 @@ MUTANTS = [
     ("schur.py", "tops = bound[:1] + mu[:-1]", "tops = bound[:2] + mu[1:-1]", "ssyt_levels: a strip of 1's allowed into row 1, under an empty row 0"),
     ("schur.py", "for _ in range(n):", "for _ in range(n - 1):", "ssyt_levels: levels stop at n - 1"),
     ("schur.py", "if sum(head) <= size:", "if True:", "ssyt_levels: a level keeps shapes of more than size boxes"),
+    (
+        "schur.py",
+        "    check_integer(\"n\", n, 1)\n    if len(p) > n:\n        return 0\n    for counts",
+        "    if len(p) > n:\n        return 0\n    for counts",
+        "ssyt_count: n unchecked, and the strip pass it reads checks nothing",
+    ),
     ("schur.py", "w[0] - w[1] + 1 if", "w[0] - w[1] if", "weyl_dim: the GL_2 value one too small"),
     ("schur.py", "if n == 2 else 1", "if n == 2 else 0", "weyl_dim: the GL_1 value 0"),
     (
@@ -59,6 +65,7 @@ MUTANTS = [
     ("filtration.py", "range(t - 1, -1, -1)", "range(t - 2, -1, -1)", "filtration search: the top z dropped"),
     ("filtration.py", "range(t - 1, -1, -1)", "range(t - 1, 0, -1)", "filtration search: z = 0 dropped"),
     ("filtration.py", "range(t - 1, -1, -1)", "range(t + 1, -1, -1)", "filtration search: the same set from more candidates than its docstring states"),
+    ("filtration.py", "(t - z[0]) * l + 1", "(t - z[1]) * l + 1", "filtration search: a one-entry z indexed past its end"),
     ("filtration.py", "lower <= minor_size * t <= upper", "lower <= minor_size * t < upper", "filtration search: strict upper bound"),
     ("filtration.py", "def filtration_indices(", "@cache\ndef filtration_indices(", "filtration_indices: store read before the argument checks"),
     ("filtration.py", "range(lam2, -m + 1)", "range(lam2, -m)", "contributing_weights: the last weight dropped"),
@@ -122,6 +129,12 @@ EQUIVALENT = [
         "ssyt_levels((max_size,) * max_rows, max_size + 1, max_dim)",
         "a raised size cap changes no count, because counts only flow to larger shapes; the suite reads only its own 53",
     ),
+    ("schur.py", "if j0 + 1 < n and", "if j0 + 2 < n and", "a final run of two splits into two one-entry runs, whose block is (0 + 1) / 1"),
+    ("schur.py", "spare = size - sum(mu)", "spare = size + sum(mu)", "the size test drops whatever the looser cap lets in"),
+    ("closed_forms.py", "for e in range(1, b - a + 1))", "for e in range(1, b - a + 2))", "every added term has b - e < a, so its binomial is 0"),
+    ("closed_forms.py", "for e in range(1, b - a + 1))", "for e in range(1, b + a + 1))", "every added term has b - e < a, so its binomial is 0"),
+    ("partitions.py", "if self and self[-1] < 0:", "if self and self[-1] <= 0:", "trailing zeros are stripped first, so the last part is never 0"),
+    ("partitions.py", "if self and self[-1] < 0:", "if self and self[-1] < 1:", "trailing zeros are stripped first, so the last part is never 0"),
 ]
 
 

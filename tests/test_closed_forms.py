@@ -46,11 +46,6 @@ def test_exact_quotient():
 
 
 class TestCumulativeLength:
-    def test_strictly_increasing_from_t1(self):
-        for m in range(3, 9):
-            for t in range(1, 21):
-                assert cumulative_length(m, t + 1) > cumulative_length(m, t)
-
     def test_is_a_narayana_number(self):
         # N(n, k) = C(n, k) * C(n, k - 1) / n at n = m + t - 1, k = m + 1
         for m in range(3, 41):

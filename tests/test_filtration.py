@@ -28,6 +28,11 @@ class TestFiltrationIndices:
                 assert total + (t - z[0]) * l + 1 <= d * t
                 assert d * t <= total + (t - z[0]) * (l + 1)
 
+    def test_one_row_keeps_every_z_at_level_0(self):
+        # n = minor_size = 1: only l = 0, where the bounds read z + 1 <= t <= t.
+        for t in range(1, 6):
+            assert filtration_indices(1, 1, t) == {((z,), 0) for z in range(t)}
+
     def test_search_examines_the_stated_candidates(self, monkeypatch):
         # The docstring's cost: C(t - 1 + n, n) tuples z, each with every l.
         # __wrapped__ runs the search itself, past the store.
