@@ -108,7 +108,9 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
 
     lambda(0) = (-2, ..., -2, lambda_1 + m - 2, lambda_2 + m - 2) with m - 2
     copies of -2. Dominance needs lambda_1 <= -m; a violation means the
-    input was outside the contributing range and is rejected.
+    input was outside the contributing range and is rejected. The route pairs
+    whole layers through ``_paired`` without these checks, which cannot fail
+    there: ``contributing_weights`` yields only weights with lambda_1 <= -m.
     """
     w = _as_weight(weight)
     if len(w) != 2:
@@ -116,8 +118,13 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     check_integer("m", m, 3)
     if w[0] > -m:
         raise ValueError(f"weight {w!r} is out of range: first entry must be <= {-m}")
-    # Dominant without a re-check: -2 >= w[0] + m - 2 (checked above) >= w[1] + m - 2 (w is dominant).
-    return tuple.__new__(DominantWeight, (-2,) * (m - 2) + (w[0] + m - 2, w[1] + m - 2))
+    return _paired([w], m)[0]
+
+
+def _paired(weights: Sequence[DominantWeight], m: int) -> list[DominantWeight]:
+    # Dominant without a re-check if each w0 <= -m: -2 >= w0 + m - 2 >= w1 + m - 2.
+    pad = (-2,) * (m - 2)
+    return [tuple.__new__(DominantWeight, pad + (w0 + m - 2, w1 + m - 2)) for w0, w1 in weights]
 
 
 def layer_summands(m: int, t: int) -> list[LayerSummand]:
@@ -125,13 +132,14 @@ def layer_summands(m: int, t: int) -> list[LayerSummand]:
 
     The only filtration index present for I^t but not I^{t-1} is
     ((t-1, t-1), 1), so the layer is the z = t - 1 contribution; for t = 1
-    there are no weights and the list is empty.
+    there are no weights and the list is empty. The layer is paired through
+    ``_paired`` with no per-weight check (see ``paired_weight``).
     """
     check_integer("m", m, 3)
     check_integer("t", t, 1)
+    ws = contributing_weights(t - 1, m)
     out = []
-    for w in contributing_weights(t - 1, m):
-        glm = paired_weight(w, m)
+    for glm, w in zip(_paired(ws, m), ws):
         out.append(
             LayerSummand(
                 epsilon=w[0] - w[1],
@@ -151,7 +159,8 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     re-checks that every index has the ((z, z), 1) shape the weight
     machinery is specialized to. The index set comes from the search in
     ``filtration_indices``, run on the first call for each t in a process
-    and read from its store after that.
+    and read from its store after that. Each factor is paired through
+    ``_paired`` with no per-weight check (see ``paired_weight``).
     """
     check_integer("m", m, 3)
     check_integer("t", t, 1)
@@ -159,6 +168,7 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     for (z1, z2), l in filtration_indices(2, 2, t):
         if l != 1 or z1 != z2:
             raise AssertionError(f"unexpected filtration index {((z1, z2), l)!r} for n = 2")
-        for w in contributing_weights(z1, m):
-            total += tensor_pair_dim(paired_weight(w, m), w)
+        ws = contributing_weights(z1, m)
+        for glm, w in zip(_paired(ws, m), ws):
+            total += tensor_pair_dim(glm, w)
     return total

@@ -69,7 +69,8 @@ MUTANTS = [
     ("filtration.py", "lower <= minor_size * t <= upper", "lower <= minor_size * t < upper", "filtration search: strict upper bound"),
     ("filtration.py", "def filtration_indices(", "@cache\ndef filtration_indices(", "filtration_indices: store read before the argument checks"),
     ("filtration.py", "range(lam2, -m + 1)", "range(lam2, -m)", "contributing_weights: the last weight dropped"),
-    ("filtration.py", "(w[0] + m - 2, w[1] + m - 2)", "(w[0] + m - 3, w[1] + m - 3)", "paired_weight: shift m - 3"),
+    ("filtration.py", "(w0 + m - 2, w1 + m - 2)", "(w0 + m - 3, w1 + m - 3)", "_paired: shift m - 3"),
+    ("filtration.py", "(-2,) * (m - 2)", "(-2,) * (m - 3)", "_paired: pad one -2 short"),
     ("filtration.py", "if l != 1 or z1 != z2:", "if False:", "decomposition route: index shape re-check removed"),
     ("verify.py", "return self.cases > 0 and not self.failures", "return not self.failures", "SuiteResult.passed: a zero-case suite passes"),
     ("verify.py", "self.cases += 1", "self.cases += 0", "SuiteResult.check: cases not counted"),

@@ -6,6 +6,7 @@ import pytest
 from thickenings import filtration
 from thickenings.closed_forms import cumulative_length
 from thickenings.filtration import (
+    _paired,
     contributing_weights,
     cumulative_length_via_decomposition,
     filtration_indices,
@@ -87,11 +88,11 @@ def test_built_weights_are_dominant():
         for z in range(41):
             weights = contributing_weights(z, m)
             assert len(weights) == z
-            for w in weights:
-                glm = paired_weight(w, m)
+            for w, glm in zip(weights, _paired(weights, m), strict=True):
                 for x in (w, glm):
                     assert type(x) is DominantWeight
                     assert x == DominantWeight(list(x))
+                assert glm == paired_weight(w, m)
                 assert len(glm) == m
 
 
