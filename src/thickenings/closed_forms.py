@@ -82,16 +82,6 @@ def asymptotic_multiplicity(m: int) -> Fraction:
     return Fraction(1, (m + 1) * math.factorial(m) ** 2)
 
 
-def catalan(m: int) -> int:
-    """The m-th Catalan number C(2m, m) / (m + 1).
-
-    Also equals (2m)! times :func:`asymptotic_multiplicity`, which the
-    verification suite checks.
-    """
-    check_integer("m", m, 1)
-    return exact_quotient(binom(2 * m, m), m + 1, f"Catalan number at m={m}")
-
-
 def identity_lhs(a: int, b: int) -> int:
     """Brute-force sum over e from 1 to b - a of e^2 * C(b - e, a)."""
     check_integer("a", a, 0)

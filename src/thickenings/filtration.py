@@ -135,8 +135,7 @@ def layer_summands(m: int, t: int) -> list[LayerSummand]:
     there are no weights and the list is empty. The layer is paired through
     ``_paired`` with no per-weight check (see ``paired_weight``).
     """
-    check_integer("m", m, 3)
-    check_integer("t", t, 1)
+    check_integer("t", t, 1)  # contributing_weights checks m
     ws = contributing_weights(t - 1, m)
     out = []
     for glm, w in zip(_paired(ws, m), ws):
@@ -162,8 +161,7 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     and read from its store after that. Each factor is paired through
     ``_paired`` with no per-weight check (see ``paired_weight``).
     """
-    check_integer("m", m, 3)
-    check_integer("t", t, 1)
+    check_integer("m", m, 3)  # before the search; filtration_indices checks t
     total = 0
     for (z1, z2), l in filtration_indices(2, 2, t):
         if l != 1 or z1 != z2:

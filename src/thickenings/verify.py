@@ -1,8 +1,8 @@
 """Brute-force verification suites, shared by the CLI and the test suite.
 
 Each suite replays one family of claims on a bounded grid and reports a
-case count plus any failures. All but ``catalan`` compare against a second,
-independent route; ``catalan`` compares two rewritings of one closed form.
+case count plus any failures. Each compares against a second, independent
+route; ``catalan``'s is a count of standard tableaux that uses no formula.
 ``SUITES`` gives each suite's bounds with their defaults, ``BOUNDS`` each
 bound's range; ``run`` and every suite check against ``BOUNDS``, so library
 calls are capped as the CLI is. In the package a new suite is one row plus
@@ -18,7 +18,6 @@ from itertools import combinations_with_replacement
 from .closed_forms import (
     asymptotic_multiplicity,
     binom,
-    catalan,
     check_integer,
     cumulative_length,
     identity_lhs,
@@ -178,16 +177,21 @@ def verify_identities(max_b: int) -> SuiteResult:
 
 
 def verify_catalan(max_m: int) -> SuiteResult:
-    """(2m)! times the asymptotic multiplicity equals the m-th Catalan number.
+    """(2m)! times the asymptotic multiplicity against f^(m,m), counted.
 
-    Both sides rewrite one closed form; the long route is not run. The suite
-    stays until a ``certify`` suite replaces it, because ``bench/`` lists it.
+    1 / ((m+1) * m!^2) is 1 over the hook product of the 2 x m rectangle, so
+    (2m)! times it counts the rectangle's standard tableaux: the ballot paths
+    to (m, m). Cell (a, b), b <= a, is the cell to its left plus the one below.
     """
     _check_bound("max_m", max_m)
     res = SuiteResult("catalan")
+    paths = {(0, 0): 1}
+    for a in range(1, max_m + 1):
+        for b in range(a + 1):
+            paths[a, b] = paths.get((a - 1, b), 0) + paths.get((a, b - 1), 0)
     for m in range(3, max_m + 1):
         res.check(
-            math.factorial(2 * m) * asymptotic_multiplicity(m) == catalan(m),
+            math.factorial(2 * m) * asymptotic_multiplicity(m) == paths[m, m],
             f"Catalan identity fails at m={m}",
         )
     return res

@@ -7,9 +7,11 @@ what the new text breaks); the old text must occur exactly once in its file.
 For each row the script copies ``src/``, ``tests/`` and ``pyproject.toml``
 to a temporary directory, applies the row, and runs
 ``python -m pytest -q -x -p no:cacheprovider`` there with that copy's
-``src`` first on ``PYTHONPATH``. A mutant whose run passes has survived:
-the script names it and exits 1. The unmutated copy runs first and must
-pass, so that a copy that cannot run does not count every mutant as caught.
+``src`` first on ``PYTHONPATH`` and pytest's ``--basetemp`` inside the copy.
+A mutant whose run passes has survived: the script names it and exits 1.
+The unmutated copy runs first and must pass, so that a copy that cannot run
+does not count every mutant as caught. Then the mutants run one per CPU the
+process may use, and their results print in row order.
 
 ``EQUIVALENT`` lists faults no test can catch, each with the reason; they
 are not run, but each must still apply, so rewriting their code updates the
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +82,7 @@ MUTANTS = [
     ("verify.py", "    for name, value in given.items():\n        _check_bound(name, value)\n", "", "run: a bound no suite reads goes unchecked"),
     ("verify.py", "\"max_m\": (3, 200),", "\"max_m\": (3, 199),", "BOUNDS: largest max_m one lower"),
     ("verify.py", "\"max_b\": (0, 400),", "\"max_b\": (0, 401),", "BOUNDS: largest max_b one higher"),
+    ("verify.py", "for b in range(a + 1):", "for b in range(a + 2):", "verify_catalan: ballot paths cross the diagonal"),
     ("verify.py", "\"zset\": {\"max_t\": 20},", "\"zset\": {\"max_t\": 19},", "SUITES: zset's default max_t one lower"),
     ("cli.py", "marker = \"match\" if total == closed else \"MISMATCH\"", "marker = \"match\"", "decompose: a mismatch printed as [match]"),
     ("cli.py", "\"match\": total == closed}", "\"match\": True}", "decompose --json: a mismatch reported as a match"),
@@ -156,8 +160,16 @@ def apply(tree: Path, file: str, old: str, new: str) -> None:
 
 def run_tests(tree: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--basetemp", str(tree / "tmp")]
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+
+
+def caught(tree: Path, row: tuple[str, str, str, str]) -> bool:
+    copy_tree(tree)
+    apply(tree, *row[:3])
+    failed = run_tests(tree).returncode != 0
+    shutil.rmtree(tree)
+    return failed
 
 
 def main() -> int:
@@ -165,7 +177,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        for file, old, _, _ in EQUIVALENT:
+        for file, old, _, _ in EQUIVALENT + MUTANTS:
             apply(clean, file, old, old)  # only checks that the row still applies
         proc = run_tests(clean)
         if proc.returncode:
@@ -173,14 +185,11 @@ def main() -> int:
             print("the unmutated copy fails its tests; no mutant was run")
             return 1
         survived = 0
-        for i, (file, old, new, breaks) in enumerate(MUTANTS):
-            tree = Path(tmp) / str(i)
-            copy_tree(tree)
-            apply(tree, file, old, new)
-            caught = run_tests(tree).returncode != 0
-            print(f"{'caught  ' if caught else 'SURVIVED'} {file}: {breaks}", flush=True)
-            survived += not caught
-            shutil.rmtree(tree)
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            trees = [Path(tmp) / str(i) for i in range(len(MUTANTS))]
+            for (file, _, _, breaks), ok in zip(MUTANTS, pool.map(caught, trees, MUTANTS)):
+                print(f"{'caught  ' if ok else 'SURVIVED'} {file}: {breaks}", flush=True)
+                survived += not ok
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught in {time.perf_counter() - start:.1f} s")
     return 1 if survived else 0
 

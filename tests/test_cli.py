@@ -153,7 +153,7 @@ class TestVerify:
         assert code == 0
 
     def test_failure_exits_one(self, monkeypatch):
-        monkeypatch.setattr(verify, "catalan", lambda m: -1)
+        monkeypatch.setattr(verify, "asymptotic_multiplicity", lambda m: 0)
         code, out, _ = invoke("verify", "--suite", "catalan", "--max-m", "10")
         assert code == 1
         assert out.splitlines() == [

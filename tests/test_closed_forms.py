@@ -7,7 +7,6 @@ import pytest
 from thickenings.closed_forms import (
     asymptotic_multiplicity,
     binom,
-    catalan,
     cumulative_length,
     exact_quotient,
     identity_lhs,
@@ -67,10 +66,14 @@ class TestAsymptoticMultiplicity:
             ratio = Fraction(cumulative_length(m, t), t ** (2 * m))
             assert abs(ratio - asymptotic_multiplicity(m)) < asymptotic_multiplicity(m) / 50
 
-
-class TestCatalan:
-    def test_sequence_start(self):
-        assert [catalan(m) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
+    def test_leading_coefficient_of_the_tableau_count(self):
+        # The tableaux of the 2 x m rectangle on C^t: a polynomial in t of degree
+        # 2m, 0 at t = 0, whose 2m-th difference is (2m)! times the invariant.
+        for m in range(3, 7):
+            counts = [0] + [ssyt_count((m, m), t) for t in range(1, 2 * m + 1)]
+            for _ in range(2 * m):
+                counts = [b - a for a, b in zip(counts, counts[1:])]
+            assert counts == [math.factorial(2 * m) * asymptotic_multiplicity(m)], m
 
 
 # Each function that checks its integer parameters with ``check_integer``:
@@ -83,7 +86,6 @@ CHECKED = [
     (cumulative_length_via_decomposition, dict(m=4, t=2), dict(m=3, t=1), {}),
     (local_cohomology_length, dict(m=4, t=2, j=3), dict(m=3, t=1, j=0), dict(j=8)),
     (asymptotic_multiplicity, dict(m=4), dict(m=3), {}),
-    (catalan, dict(m=4), dict(m=1), {}),
     (paired_weight, dict(weight=(-5, -5), m=4), dict(m=3), {}),
     (contributing_weights, dict(z=2, m=4), dict(z=0, m=3), {}),
     (filtration_indices, dict(n=2, minor_size=2, t=3), dict(n=1, minor_size=1, t=1), dict(minor_size=2)),
