@@ -52,15 +52,9 @@ def filtration_indices(n: int, minor_size: int, t: int) -> frozenset[tuple[tuple
         z_1 = ... = z_{l+1} <= t - 1
         |z| + (t - z_1) * l + 1  <=  minor_size * t  <=  |z| + (t - z_1) * (l + 1)
 
-    The part bound makes the search space finite: the first call for each
-    (n, minor_size, t) in a process examines exactly
-    C(t - 1 + n, n) * minor_size candidates (z, l). The set depends only on
-    those three integers, so it is stored, and every later call with them
-    returns the same ``frozenset``, which no caller can change. The store is
-    never emptied. It holds about 160 B per kept index (tracemalloc): for
-    n = minor_size = 2, about 0.44 MB for all t <= 72 and 7.2 MB for all
-    t <= 300. The arguments are checked on every call before the store is
-    read, so t = True is refused even after t = 1 is stored.
+    The part bound makes the search space finite: every call examines
+    exactly C(t - 1 + n, n) * minor_size candidates (z, l), and nothing is
+    stored, so two calls with equal arguments both run the search.
 
     For n = minor_size = 2 the indices are exactly ((z, z), 1), 0 <= z <= t - 1.
     Level l = 0: the upper bound reads 2t <= t + z_2, so z_2 >= t, impossible.
@@ -69,13 +63,6 @@ def filtration_indices(n: int, minor_size: int, t: int) -> frozenset[tuple[tuple
     check_integer("n", n, 1)
     check_integer("minor_size", minor_size, 1, n)
     check_integer("t", t, 1)
-    return _search_indices(n, minor_size, t)
-
-
-# Unbounded: an LRU bound would store and evict on every call of an
-# ascending sweep over more values of t than its size.
-@cache
-def _search_indices(n: int, minor_size: int, t: int) -> frozenset[tuple[tuple[int, ...], int]]:
     found = set()
     for z in combinations_with_replacement(range(t - 1, -1, -1), n):
         total = sum(z)
@@ -154,19 +141,28 @@ def cumulative_length_via_decomposition(m: int, t: int) -> int:
     """Length of Ext^{2m-3}(R/I^t, R) through the whole decomposition chain.
 
     Enumerates the filtration indices, expands each factor into its
-    contributing weights, and adds exact tensor dimensions. Defensively
-    re-checks that every index has the ((z, z), 1) shape the weight
-    machinery is specialized to. The index set comes from the search in
-    ``filtration_indices``, run on the first call for each t in a process
-    and read from its store after that. Each factor is paired through
-    ``_paired`` with no per-weight check (see ``paired_weight``).
+    contributing weights, and adds exact tensor dimensions. ``_factor_zs``
+    runs the search in ``filtration_indices`` once per t in a process,
+    defensively checks that every index has the ((z, z), 1) shape the weight
+    machinery is specialized to, and stores the z values. Each factor is
+    paired through ``_paired`` with no per-weight check (see ``paired_weight``).
     """
     check_integer("m", m, 3)  # before the search; filtration_indices checks t
     total = 0
-    for (z1, z2), l in filtration_indices(2, 2, t):
-        if l != 1 or z1 != z2:
-            raise AssertionError(f"unexpected filtration index {((z1, z2), l)!r} for n = 2")
-        ws = contributing_weights(z1, m)
+    for z in _factor_zs(t):
+        ws = contributing_weights(z, m)
         for glm, w in zip(_paired(ws, m), ws):
             total += tensor_pair_dim(glm, w)
     return total
+
+
+# Unbounded: an LRU bound would evict on every call of a sweep over more t
+# than its size. A bool or float t misses its int's entry; the search refuses it.
+@cache
+def _factor_zs(t: int) -> tuple[int, ...]:
+    zs = []
+    for (z1, z2), l in filtration_indices(2, 2, t):
+        if l != 1 or z1 != z2:
+            raise AssertionError(f"unexpected filtration index {((z1, z2), l)!r} for n = 2")
+        zs.append(z1)
+    return tuple(zs)

@@ -114,13 +114,7 @@ def verify_schur() -> SuiteResult:
 
 
 def verify_zset(max_t: int) -> SuiteResult:
-    """General filtration-index search against the n = 2 characterization.
-
-    ``filtration_indices`` stores each index set, so this compares the search
-    itself only for the values of t that no earlier call in the process
-    asked for; a fresh ``thickenings verify`` process runs the search for
-    every t it checks.
-    """
+    """General filtration-index search against the n = 2 characterization."""
     _check_bound("max_t", max_t)
     res = SuiteResult("zset")
     for t in range(1, max_t + 1):

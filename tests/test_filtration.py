@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from thickenings import filtration
+from thickenings import filtration, verify
 from thickenings.closed_forms import cumulative_length
 from thickenings.filtration import (
     _paired,
@@ -36,7 +36,6 @@ class TestFiltrationIndices:
 
     def test_search_examines_the_stated_candidates(self, monkeypatch):
         # The docstring's cost: C(t - 1 + n, n) tuples z, each with every l.
-        # __wrapped__ runs the search itself, past the store.
         counts = []
 
         def counted(values, n):
@@ -47,20 +46,14 @@ class TestFiltrationIndices:
         monkeypatch.setattr(filtration, "combinations_with_replacement", counted)
         cases = ((2, 5), (3, 4))
         for n, t in cases:
-            filtration._search_indices.__wrapped__(n, 2, t)
+            filtration_indices(n, 2, t)
         assert counts == [math.comb(t - 1 + n, n) for n, t in cases]
 
-    def test_repeated_call_returns_the_stored_set(self):
-        first = filtration_indices(2, 2, 5)
-        assert type(first) is frozenset
-        assert filtration_indices(2, 2, 5) is first
-
-    def test_bool_refused_after_its_int_is_stored(self):
-        # True hashes and compares like 1, so a store read before the
-        # argument checks would hand back the t = 1 set.
-        assert filtration_indices(2, 2, 1) is filtration_indices(2, 2, 1)
-        with pytest.raises(TypeError):
-            filtration_indices(2, 2, True)
+    def test_zset_runs_the_search_after_the_route(self, monkeypatch):
+        for t in range(1, 6):
+            cumulative_length_via_decomposition(3, t)
+        monkeypatch.setattr(filtration, "combinations_with_replacement", lambda values, n: ())
+        assert len(verify.verify_zset(5).failures) == 5
 
 
 class TestPairedWeight:
@@ -119,9 +112,24 @@ class TestRecords:
 
 class TestCumulativeDecomposition:
     def test_rejects_an_index_outside_the_n2_shape(self, monkeypatch):
+        filtration._factor_zs.cache_clear()
         monkeypatch.setattr(filtration, "filtration_indices", lambda n, k, t: {((2, 1), 1)})
         with pytest.raises(AssertionError, match="unexpected filtration index"):
             cumulative_length_via_decomposition(3, 3)
+
+    def test_one_search_per_t(self, monkeypatch):
+        filtration._factor_zs.cache_clear()
+        calls, search = [], filtration.filtration_indices
+        monkeypatch.setattr(filtration, "filtration_indices", lambda *args: calls.append(args) or search(*args))
+        for m in (3, 4, 3):
+            cumulative_length_via_decomposition(m, 7)
+        assert calls == [(2, 2, 7)]
+
+    def test_bool_refused_after_its_int_is_stored(self):
+        cumulative_length_via_decomposition(3, 1)
+        for t in (True, 1.0, False):
+            with pytest.raises(TypeError):
+                cumulative_length_via_decomposition(3, t)
 
     def test_matches_closed_form_at_large_m(self):
         # Long weights: the route stays fast only because the Weyl product
