@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 from .closed_forms import check_integer
-from .partitions import DominantWeight, _as_weight
+from .partitions import DominantWeight
 from .schur import tensor_pair_dim
 
 
@@ -86,8 +86,9 @@ def contributing_weights(z: int, m: int) -> list[DominantWeight]:
     check_integer("z", z, 0)
     check_integer("m", m, 3)
     lam2 = 1 - z - m
+    new = tuple.__new__
     # Dominant without a re-check: lambda_1 runs upward from lambda_2.
-    return [tuple.__new__(DominantWeight, (lam1, lam2)) for lam1 in range(lam2, -m + 1)]
+    return [new(DominantWeight, (lam1, lam2)) for lam1 in range(lam2, -m + 1)]
 
 
 def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWeight:
@@ -99,7 +100,7 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
     whole layers through ``_paired`` without these checks, which cannot fail
     there: ``contributing_weights`` yields only weights with lambda_1 <= -m.
     """
-    w = _as_weight(weight)
+    w = weight if isinstance(weight, DominantWeight) else DominantWeight(weight)
     if len(w) != 2:
         raise ValueError(f"expected a length-2 weight, got {w!r}")
     check_integer("m", m, 3)
@@ -111,7 +112,9 @@ def paired_weight(weight: DominantWeight | Sequence[int], m: int) -> DominantWei
 def _paired(weights: Sequence[DominantWeight], m: int) -> list[DominantWeight]:
     # Dominant without a re-check if each w0 <= -m: -2 >= w0 + m - 2 >= w1 + m - 2.
     pad = (-2,) * (m - 2)
-    return [tuple.__new__(DominantWeight, pad + (w0 + m - 2, w1 + m - 2)) for w0, w1 in weights]
+    shift = m - 2
+    new = tuple.__new__
+    return [new(DominantWeight, pad + (w0 + shift, w1 + shift)) for w0, w1 in weights]
 
 
 def layer_summands(m: int, t: int) -> list[LayerSummand]:

@@ -72,7 +72,3 @@ class DominantWeight(tuple):
 
 def _as_partition(x: Partition | Sequence[int]) -> Partition:
     return x if isinstance(x, Partition) else Partition(x)
-
-
-def _as_weight(x: DominantWeight | Sequence[int]) -> DominantWeight:
-    return x if isinstance(x, DominantWeight) else DominantWeight(x)

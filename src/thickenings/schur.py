@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .closed_forms import check_integer, exact_quotient
-from .partitions import DominantWeight, Partition, _as_partition, _as_weight
+from .partitions import DominantWeight, Partition, _as_partition
 
 
 def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
@@ -45,7 +45,13 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     later entry) in place of the n(n-1)/2 factors of the plain product:
     two integer products when both runs have one entry, one ``math.comb``
     pair otherwise. So a zero-padded one-row shape (k, 0, ..., 0) takes
-    n - 1 pairs.
+    n - 1 pairs. When q = 1 and the later entry directly follows the
+    earlier run (d = p, as the entry after the -2 pad of the route's
+    lambda(0) does), the denominator C(p, p) = 1 is skipped.
+
+    A weight that is not a ``DominantWeight`` is checked by building one;
+    the ``isinstance`` test is inline, not a helper call, because the route
+    calls this twice per weight.
 
     Numerator and denominator are accumulated as integers and divided once
     by ``exact_quotient``; dominance guarantees the division is exact, so an
@@ -53,7 +59,7 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
     the checks, a weight of length 2 returns w0 - w1 + 1 and one of length 1
     returns 1, the whole product on GL_2 and GL_1, without the loop.
     """
-    w = _as_weight(weight)
+    w = weight if isinstance(weight, DominantWeight) else DominantWeight(weight)
     check_integer("n", n, 1)
     if len(w) != n:
         raise ValueError(f"weight {w!r} has length {len(w)}, expected {n}")
@@ -75,7 +81,8 @@ def weyl_dim(weight: DominantWeight | Sequence[int], n: int) -> int:
                     den *= d
                 else:
                     num *= comb(c + d, p)
-                    den *= comb(d, p)
+                    if d > p:
+                        den *= comb(d, p)
             else:
                 for e in range(d, d + q):
                     num *= comb(c + e, p)

@@ -49,12 +49,15 @@ MUTANTS = [
         "    if len(p) > n:\n        return 0\n    for counts",
         "ssyt_count: n unchecked, and the strip pass it reads checks nothing",
     ),
+    ("schur.py", "if d > p:", "if d > p + 1:", "weyl_dim: the denominator C(p + 1, p) = p + 1 dropped"),
+    ("schur.py", "isinstance(weight, DominantWeight)", "isinstance(weight, tuple)", "weyl_dim: a non-dominant tuple taken unchecked"),
     ("schur.py", "w[0] - w[1] + 1 if", "w[0] - w[1] if", "weyl_dim: the GL_2 value one too small"),
     ("schur.py", "if n == 2 else 1", "if n == 2 else 0", "weyl_dim: the GL_1 value 0"),
     (
         "schur.py",
-        "    w = _as_weight(weight)\n",
-        "    w = _as_weight(weight)\n    if n < 3:\n        return w[0] - w[1] + 1 if n == 2 else 1\n",
+        "    w = weight if isinstance(weight, DominantWeight) else DominantWeight(weight)\n",
+        "    w = weight if isinstance(weight, DominantWeight) else DominantWeight(weight)\n"
+        "    if n < 3:\n        return w[0] - w[1] + 1 if n == 2 else 1\n",
         "weyl_dim: the GL_1/GL_2 base case taken before the n and length checks",
     ),
     ("schur.py", "weyl_dim(weight_m, len(weight_m)) * weyl_dim", "weyl_dim(weight_m, len(weight_m)) + weyl_dim", "tensor_pair_dim: factors summed"),
@@ -72,8 +75,9 @@ MUTANTS = [
     ("filtration.py", "lower <= minor_size * t <= upper", "lower <= minor_size * t < upper", "filtration search: strict upper bound"),
     ("filtration.py", "def filtration_indices(", "@cache\ndef filtration_indices(", "filtration_indices: a store in the oracle"),
     ("filtration.py", "range(lam2, -m + 1)", "range(lam2, -m)", "contributing_weights: the last weight dropped"),
-    ("filtration.py", "(w0 + m - 2, w1 + m - 2)", "(w0 + m - 3, w1 + m - 3)", "_paired: shift m - 3"),
+    ("filtration.py", "shift = m - 2", "shift = m - 3", "_paired: shift m - 3"),
     ("filtration.py", "(-2,) * (m - 2)", "(-2,) * (m - 3)", "_paired: pad one -2 short"),
+    ("filtration.py", "isinstance(weight, DominantWeight)", "isinstance(weight, tuple)", "paired_weight: a non-dominant tuple taken unchecked"),
     ("filtration.py", "if l != 1 or z1 != z2:", "if False:", "decomposition route: index shape check removed from its store"),
     ("verify.py", "return self.cases > 0 and not self.failures", "return not self.failures", "SuiteResult.passed: a zero-case suite passes"),
     ("verify.py", "self.cases += 1", "self.cases += 0", "SuiteResult.check: cases not counted"),
@@ -126,6 +130,7 @@ MUTANTS = [
 EQUIVALENT = [
     ("schur.py", "if q == 1:", "if False:", "the loop over one later entry multiplies the same factor; the branch only saves time"),
     ("schur.py", "if p == 1:", "if False:", "C(c + d, 1) = c + d and C(d, 1) = d; the branch only saves time"),
+    ("schur.py", "if d > p:", "if True:", "C(p, p) = 1; the branch only saves time"),
     ("schur.py", "if n < 3:", "if n < 2:", "the run loop gives w0 - w1 + 1 for n = 2; the base case only saves time"),
     ("schur.py", "lo + spare) + 1)", "lo + spare + 1) + 1)", "the size test drops every shape the wider range adds; the cap only prunes"),
     (

@@ -70,6 +70,10 @@ class TestPairedWeight:
         with pytest.raises(ValueError):
             paired_weight((-2, -3), 3)
 
+    def test_non_dominant_weight_rejected(self):
+        with pytest.raises(ValueError):
+            paired_weight((-3, -2), 3)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             paired_weight((-4, -4, -4), 3)
